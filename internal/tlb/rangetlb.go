@@ -176,6 +176,10 @@ type RangeTLB struct {
 	big   []int32     // slot indexes of Size>4096 entries, insertion order
 	head  int32       // LRU end of the recency list (eviction victim)
 	tail  int32       // MRU end of the recency list
+
+	// doomed is InvalidateRange's scan-path scratch: the page keys to drop,
+	// sorted before removal. Pre-sized to capacity, so it never grows.
+	doomed []uint64
 }
 
 // NewRange builds a RangeTLB holding up to capacity entries.
@@ -192,6 +196,7 @@ func NewRange(name string, capacity int) *RangeTLB {
 		big:      make([]int32, 0, capacity),
 		head:     noSlot,
 		tail:     noSlot,
+		doomed:   make([]uint64, 0, capacity),
 	}
 	t.resetFree()
 	return t
@@ -349,41 +354,65 @@ func (t *RangeTLB) evictIfFull() {
 	t.Stats.Evictions++
 }
 
-// InvalidateRange drops every entry overlapping [base, base+size) (used by
-// disable_vb, promote_vb and migration). Cold path: page keys are
-// collected and sorted before removal so the free-list recycle order is a
-// function of TLB contents, not of the index's probe layout.
+// InvalidateRange drops every entry overlapping [base, base+size) and
+// returns how many it dropped (used by disable_vb, promote_vb, copy-on-write
+// resolution and migration, which invalidates once per moved 4 KB region).
+//
+// A page entry keyed pn has Size <= 4096, so it lies inside
+// [pn<<12, (pn+2)<<12): only keys in [lo-1, hi], with lo = base>>12 and
+// hi = (base+size-1)>>12, can overlap the range (an unaligned entry keyed
+// lo-1 can reach into page lo). When that window is no wider than the page
+// index, each of its keys is probed in ascending order; a wider range (a
+// whole VB on disable or downgrade) scans the index and sorts the keys it
+// collects instead. Both paths drop page entries in ascending page-number
+// order, then the big entries, so the free-list recycle order is a
+// function of TLB contents alone, whichever path ran.
+//
+//vbi:hotpath
 func (t *RangeTLB) InvalidateRange(base, size uint64) int {
 	n := 0
-	var doomed []uint64
-	for j, slot := range t.pages.slots {
-		if slot == noSlot {
-			continue
+	lo, hi := max(base>>pageShift, 1)-1, (base+size-1)>>pageShift
+	if base+size > base && hi-lo < uint64(len(t.pages.slots)) {
+		for pn := lo; pn <= hi; pn++ {
+			if i, ok := t.pages.get(pn); ok && t.slots[i].e.overlaps(base, size) {
+				t.dropSlot(i)
+				t.pages.del(pn)
+				n++
+			}
 		}
-		s := &t.slots[slot]
-		if s.e.Base+s.e.Size > base && s.e.Base < base+size {
-			doomed = append(doomed, t.pages.keys[j])
+	} else {
+		t.doomed = t.doomed[:0]
+		for j, slot := range t.pages.slots {
+			if slot != noSlot && t.slots[slot].e.overlaps(base, size) {
+				//vbi:allow hotalloc append stays within the capacity pre-sized in NewRange: at most capacity page entries are live
+				t.doomed = append(t.doomed, t.pages.keys[j])
+			}
 		}
-	}
-	slices.Sort(doomed)
-	for _, pn := range doomed {
-		i, _ := t.pages.get(pn)
-		t.dropSlot(i)
-		t.pages.del(pn)
-		n++
+		slices.Sort(t.doomed)
+		for _, pn := range t.doomed {
+			i, _ := t.pages.get(pn)
+			t.dropSlot(i)
+			t.pages.del(pn)
+		}
+		n = len(t.doomed)
 	}
 	kept := t.big[:0]
 	for _, i := range t.big {
-		s := &t.slots[i]
-		if s.e.Base+s.e.Size > base && s.e.Base < base+size {
+		if t.slots[i].e.overlaps(base, size) {
 			t.dropSlot(i)
 			n++
 			continue
 		}
+		//vbi:allow hotalloc filtering in place: kept aliases t.big and never outgrows it
 		kept = append(kept, i)
 	}
 	t.big = kept
 	return n
+}
+
+// overlaps reports whether the entry intersects [base, base+size).
+func (e RangeEntry) overlaps(base, size uint64) bool {
+	return e.Base+e.Size > base && e.Base < base+size
 }
 
 // InvalidateAll empties the TLB in place: the slot array, free list, page

@@ -22,6 +22,36 @@ func TestRangeTLBInvalidateRefillNoAllocs(t *testing.T) {
 	}
 }
 
+// Range invalidation must not allocate on either path: the per-page probe
+// (a migrated 4 KB region) or the scan fallback for a range wider than the
+// page index (a whole VB), whose doomed-key scratch is reused.
+func TestRangeTLBInvalidateRangeNoAllocs(t *testing.T) {
+	tl := NewRange("mtl-l1", 64) // 128-position page index
+	refill := func() {
+		for i := uint64(0); i < 60; i++ {
+			tl.Insert(RangeEntry{Base: i << pageShift, Size: 4096, Phys: i << pageShift})
+		}
+		tl.Insert(RangeEntry{Base: 1 << 30, Size: 1 << 21, Phys: 1 << 30})
+	}
+	refill()
+	var dropped int
+	allocs := testing.AllocsPerRun(100, func() {
+		dropped = 0
+		for i := uint64(0); i < 60; i++ {
+			dropped += tl.InvalidateRange(i<<pageShift, 4096)
+		}
+		refill()
+		dropped += tl.InvalidateRange(0, 1<<31)
+		refill()
+	})
+	if allocs != 0 {
+		t.Fatalf("InvalidateRange allocates %v times per cycle", allocs)
+	}
+	if dropped != 60+61 {
+		t.Fatalf("a cycle dropped %d entries, want 121", dropped)
+	}
+}
+
 // TestPageIndexMatchesMap drives the open-addressing page index through a
 // deterministic churn of puts, overwrites, deletes and probes over a key
 // space small enough to force probe clusters (and backward shifts across
