@@ -48,3 +48,32 @@ func BenchmarkCacheMarkDirty(b *testing.B) {
 		c.MarkDirty(0)
 	}
 }
+
+// BenchmarkCacheLLCRandom drives an 8 MB/16-way LLC with uniformly random
+// aligned lines over twice its capacity: every probe scans a full set and
+// about half of them miss and evict, so the set layout, not one hot way,
+// decides the cost.
+func BenchmarkCacheLLCRandom(b *testing.B) {
+	c := New("LLC", 8<<20, 16)
+	const lineBits = 18 // 2× the LLC's 1<<17 lines
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return (rng >> 20 & (1<<lineBits - 1)) << LineShift
+	}
+	for i := 0; i < 1<<lineBits; i++ {
+		if line := next(); !c.Lookup(line, false) {
+			c.Insert(line, false)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line := next()
+		if !c.Lookup(line, i&7 == 0) {
+			c.Insert(line, i&7 == 0)
+		}
+	}
+}

@@ -21,13 +21,6 @@ const LineSize = 1 << LineShift
 // LineOf returns the line address (low 6 bits cleared) containing a.
 func LineOf(a uint64) uint64 { return a &^ (LineSize - 1) }
 
-type way struct {
-	tag   uint64 // full line address
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
 // Stats holds per-cache event counters.
 type Stats struct {
 	Hits       uint64
@@ -36,11 +29,23 @@ type Stats struct {
 	Writebacks uint64 // dirty evictions
 }
 
-// Cache is one set-associative write-back cache level. The probe path is
-// map-free: a line's set is a direct index into the flattened lines array
-// and the tag match is a linear scan over the set's ways (ways <= 16, so
-// the scan stays within one or two cache lines of host memory and beats a
-// hash probe). Probes never allocate.
+// Tag-word flags. Line addresses are LineSize-aligned, so their low bits
+// are free to carry a way's state; a zero word is an empty way.
+const (
+	validBit = 1 << 0
+	dirtyBit = 1 << 1
+)
+
+// Cache is one set-associative write-back cache level. Line addresses
+// passed to it must be LineSize-aligned (Hierarchy always passes LineOf
+// addresses); Insert panics on an unaligned line.
+//
+// The probe path is map-free and reads only tags: each way is one uint64
+// packing the line address with validBit and dirtyBit, and a set is a
+// contiguous run of ways in one flat array. A set is kept in recency
+// order — way 0 is the MRU line, valid lines precede empty ways, and the
+// last valid way is the LRU victim — so a hit moves its tag to the front.
+// Probes never allocate.
 type Cache struct {
 	Name string
 	// Stats accumulates hit/miss/eviction counts.
@@ -49,9 +54,8 @@ type Cache struct {
 	sets     int
 	ways     int
 	setMask  uint64
-	lines    []way // sets*ways, row-major by set
-	tick     uint64
-	occupied int // valid lines, maintained by Insert/Invalidate
+	tags     []uint64 // sets*ways tag words, row-major by set, each set MRU first
+	occupied int      // valid lines, maintained by Insert/Invalidate
 }
 
 // New builds a cache of sizeBytes capacity and the given associativity.
@@ -70,7 +74,7 @@ func New(name string, sizeBytes, ways int) *Cache {
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
-		lines:   make([]way, sets*ways),
+		tags:    make([]uint64, sets*ways),
 	}
 }
 
@@ -84,6 +88,14 @@ func (c *Cache) setOf(line uint64) int {
 	return int((line >> LineShift) & c.setMask)
 }
 
+// set returns the line's set: its ways in recency order, MRU first.
+//
+//vbi:hotpath
+func (c *Cache) set(line uint64) []uint64 {
+	base := c.setOf(line) * c.ways
+	return c.tags[base : base+c.ways : base+c.ways]
+}
+
 // sameSet reports whether two line addresses index the same set (used by
 // the sharded-run back-invalidation conflict check: an invalidation frees
 // a way, which changes victim selection for later inserts in that set).
@@ -91,31 +103,45 @@ func (c *Cache) setOf(line uint64) int {
 //vbi:hotpath
 func (c *Cache) sameSet(a, b uint64) bool { return c.setOf(a) == c.setOf(b) }
 
-// probe returns the index of the line's way within the flattened array, or
-// -1. It is the one tag-match loop every probe shares and never allocates.
+// find returns the way holding line within set, or -1. It is the one
+// tag-match loop every probe shares: the dirty bit is masked off, and the
+// valid bit in the wanted word keeps an empty (zero) way from matching.
 //
 //vbi:hotpath
-func (c *Cache) probe(line uint64) int {
-	base := c.setOf(line) * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].valid && c.lines[i].tag == line {
+func find(set []uint64, line uint64) int {
+	want := line | validBit
+	for i, tag := range set {
+		if tag&^dirtyBit == want {
 			return i
 		}
 	}
 	return -1
 }
 
-// Lookup probes for the line, updating LRU state and (for writes) the dirty
+// touch moves the tag at way i to the front of its set (MRU), ORing in
+// flags. A hit on the MRU way moves nothing.
+//
+//vbi:hotpath
+func touch(set []uint64, i int, flags uint64) {
+	tag := set[i] | flags
+	if i > 0 {
+		copy(set[1:i+1], set[:i])
+	}
+	set[0] = tag
+}
+
+// Lookup probes for the line, updating recency and (for writes) the dirty
 // bit. It reports whether the line was present and does not allocate.
 //
 //vbi:hotpath
 func (c *Cache) Lookup(line uint64, write bool) bool {
-	if i := c.probe(line); i >= 0 {
-		c.tick++
-		c.lines[i].used = c.tick
+	set := c.set(line)
+	if i := find(set, line); i >= 0 {
+		var flags uint64
 		if write {
-			c.lines[i].dirty = true
+			flags = dirtyBit
 		}
+		touch(set, i, flags)
 		c.Stats.Hits++
 		return true
 	}
@@ -123,35 +149,34 @@ func (c *Cache) Lookup(line uint64, write bool) bool {
 	return false
 }
 
-// MarkDirty updates LRU state and sets the dirty bit exactly like a write
-// hit — same tick advance, same used stamp — but never touches Stats. It
-// reports whether the line was present. The hierarchy uses it for internal
-// bookkeeping probes (recording dirty state at the LLC on write fills and
-// writeback spills) that are not demand accesses and must not inflate the
-// demand hit/miss counters.
+// MarkDirty updates recency and sets the dirty bit exactly like a write
+// hit but never touches Stats. It reports whether the line was present.
+// The hierarchy uses it for internal bookkeeping probes (recording dirty
+// state at the LLC on writeback spills) that are not demand accesses and
+// must not inflate the demand hit/miss counters.
 //
 //vbi:hotpath
 func (c *Cache) MarkDirty(line uint64) bool {
-	if i := c.probe(line); i >= 0 {
-		c.tick++
-		c.lines[i].used = c.tick
-		c.lines[i].dirty = true
+	set := c.set(line)
+	if i := find(set, line); i >= 0 {
+		touch(set, i, dirtyBit)
 		return true
 	}
 	return false
 }
 
-// Contains probes without perturbing LRU or statistics (for tests and
+// Contains probes without perturbing recency or statistics (for tests and
 // back-invalidation checks).
 func (c *Cache) Contains(line uint64) bool {
-	return c.probe(line) >= 0
+	return find(c.set(line), line) >= 0
 }
 
 // IsDirty reports whether the line is present and dirty, without
-// perturbing LRU or statistics.
+// perturbing recency or statistics.
 func (c *Cache) IsDirty(line uint64) bool {
-	i := c.probe(line)
-	return i >= 0 && c.lines[i].dirty
+	set := c.set(line)
+	i := find(set, line)
+	return i >= 0 && set[i]&dirtyBit != 0
 }
 
 // Victim describes a line evicted by Insert.
@@ -161,72 +186,72 @@ type Victim struct {
 	Valid bool
 }
 
-// Insert fills the line into its set, evicting the LRU way if the set is
-// full. The returned victim is Valid when a live line was displaced.
-// Insert never allocates.
+// Insert fills the line into its set as the MRU line, evicting the LRU
+// line if the set is full; a line already present is moved to the front
+// with its dirty state merged. The returned victim is Valid when a live
+// line was displaced. Insert panics on a line that is not LineSize-aligned
+// and never allocates.
 //
 //vbi:hotpath
 func (c *Cache) Insert(line uint64, dirty bool) Victim {
-	set := c.setOf(line)
-	base := set * c.ways
-	victimIdx := base
-	var oldest uint64 = ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].valid && c.lines[i].tag == line {
-			// Already present (e.g. racing fill): just merge dirty state.
-			c.tick++
-			c.lines[i].used = c.tick
-			c.lines[i].dirty = c.lines[i].dirty || dirty
-			return Victim{}
-		}
-		if !c.lines[i].valid {
-			if oldest != 0 {
-				victimIdx = i
-				oldest = 0
-			}
-			continue
-		}
-		if c.lines[i].used < oldest {
-			oldest = c.lines[i].used
-			victimIdx = i
-		}
+	if line&(LineSize-1) != 0 {
+		c.panicUnaligned(line)
 	}
+	var flags uint64
+	if dirty {
+		flags = dirtyBit
+	}
+	set := c.set(line)
+	if i := find(set, line); i >= 0 {
+		// Already present (e.g. racing fill): just merge dirty state.
+		touch(set, i, flags)
+		return Victim{}
+	}
+	// Valid lines precede empty ways, so the last way is either empty or
+	// the LRU line.
 	var v Victim
-	w := &c.lines[victimIdx]
-	if w.valid {
-		v = Victim{Line: w.tag, Dirty: w.dirty, Valid: true}
+	if last := set[len(set)-1]; last != 0 {
+		v = Victim{Line: last &^ (validBit | dirtyBit), Dirty: last&dirtyBit != 0, Valid: true}
 		c.occupied--
 		c.Stats.Evictions++
-		if w.dirty {
+		if v.Dirty {
 			c.Stats.Writebacks++
 		}
 	}
-	c.tick++
-	*w = way{tag: line, valid: true, dirty: dirty, used: c.tick}
+	copy(set[1:], set[:len(set)-1])
+	set[0] = line | validBit | flags
 	c.occupied++
 	return v
 }
 
+// panicUnaligned is Insert's cold failure path, kept out of line so the
+// message formatting stays off the hot path.
+//
+//go:noinline
+func (c *Cache) panicUnaligned(line uint64) {
+	panic(fmt.Sprintf("cache %s: Insert of unaligned line %#x", c.Name, line))
+}
+
 // Invalidate drops the line if present, returning whether it was dirty.
+// The ways behind it shift forward, keeping the set in recency order.
 func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
-	i := c.probe(line)
+	set := c.set(line)
+	i := find(set, line)
 	if i < 0 {
 		return false, false
 	}
-	wasDirty = c.lines[i].dirty
-	c.lines[i] = way{}
+	wasDirty = set[i]&dirtyBit != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
 	c.occupied--
 	return true, wasDirty
 }
 
 // InvalidateAll empties the cache in place: the flat array is cleared
 // without reallocating, so repeated invalidate/refill cycles are
-// allocation-free. The LRU clock keeps running (monotonic ticks are what
-// make eviction order reproducible).
+// allocation-free.
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = way{}
-	}
+	clear(c.tags)
 	c.occupied = 0
 }
 
@@ -234,14 +259,14 @@ func (c *Cache) InvalidateAll() {
 // lazy cache cleanup after disable_vb, §4.2.4) and returns the count.
 // This is the cold path: it collects and sorts the live line addresses
 // before calling pred or mutating, because an array-order walk would visit
-// lines in (set, way) placement order — a function of eviction history —
-// and the invalidation sequence (and a stateful pred's view) must depend
-// only on cache contents.
+// lines in (set, way) placement order — a function of recency — and the
+// invalidation sequence (and a stateful pred's view) must depend only on
+// cache contents.
 func (c *Cache) InvalidateIf(pred func(line uint64) bool) int {
 	lines := make([]uint64, 0, c.occupied)
-	for i := range c.lines {
-		if c.lines[i].valid {
-			lines = append(lines, c.lines[i].tag)
+	for _, tag := range c.tags {
+		if tag != 0 {
+			lines = append(lines, tag&^(validBit|dirtyBit))
 		}
 	}
 	slices.Sort(lines)

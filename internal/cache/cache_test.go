@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,4 +194,24 @@ func TestCacheInvalidateRefillNoAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("invalidate/refill cycle allocates %v times", allocs)
 	}
+}
+
+// Tag words carry flags in a line address's low bits, so Insert must
+// refuse an address that is not LineSize-aligned rather than corrupt the
+// set.
+func TestCacheInsertUnalignedPanics(t *testing.T) {
+	c := New("L1", 1<<10, 8)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Insert of an unaligned line did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "unaligned line 0x41") {
+			t.Fatalf("panic message %q does not name the unaligned line", msg)
+		}
+		if c.OccupiedLines() != 0 {
+			t.Fatalf("failed Insert left %d lines behind", c.OccupiedLines())
+		}
+	}()
+	c.Insert(0x41, false)
 }

@@ -151,11 +151,9 @@ func (h *Hierarchy) Fill(line uint64, write bool) []uint64 {
 	line = LineOf(line)
 	h.ls.Enter()
 	wbs := h.wb[:0]
-	if v := h.LLC.Insert(line, false); v.Valid {
+	// A write fill records dirty state at the LLC too.
+	if v := h.LLC.Insert(line, write); v.Valid {
 		wbs = h.evictFromLLC(v, wbs)
-	}
-	if write {
-		h.LLC.MarkDirty(line) // record dirty state at the LLC too
 	}
 	wbs = h.fillUpper(line, write, wbs)
 	h.wb = wbs[:0]
@@ -220,8 +218,8 @@ func (h *Hierarchy) fillUpper(line uint64, write bool, wbs []uint64) []uint64 {
 
 // spillToLLC merges a dirty private-level victim into the LLC. The present
 // case is internal bookkeeping, not a demand access: MarkDirty keeps the
-// LRU and dirty state exactly as a write hit would but leaves the demand
-// hit/miss counters alone.
+// recency and dirty state exactly as a write hit would but leaves the
+// demand hit/miss counters alone.
 //
 //vbi:hotpath
 func (h *Hierarchy) spillToLLC(line uint64, wbs []uint64) []uint64 {
@@ -267,7 +265,7 @@ func (h *Hierarchy) evictFromLLC(v Victim, wbs []uint64) []uint64 {
 // whether the race changed anything the serial run would have seen:
 //
 //   - the peer touched exactly this line at a key after ours: its hit,
-//     recency stamp or dirty bit diverged from serial (serial would have
+//     recency or dirty bit diverged from serial (serial would have
 //     invalidated first) — conflict;
 //   - the line is still present and the peer did a structural
 //     insert/evict in the same set at a key after ours: serial's

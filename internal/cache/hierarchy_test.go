@@ -155,9 +155,9 @@ func TestHierarchySharedLLC(t *testing.T) {
 	}
 }
 
-// A cold write fill must not perturb LLC demand statistics: Fill and
-// spillToLLC use the non-stat MarkDirty probe for their internal dirty-bit
-// bookkeeping, so Stats.Hits/Misses count only demand accesses. (The old
+// A cold write fill must not perturb LLC demand statistics: Fill records
+// dirty state through Insert and spillToLLC through the non-stat MarkDirty
+// probe, so Stats.Hits/Misses count only demand accesses. (The old
 // Lookup(line, true) bookkeeping probe inflated LLC hits on every fill of
 // a line the LLC already held, and misses on every cold fill.)
 func TestFillColdWriteNoLLCDemandHits(t *testing.T) {

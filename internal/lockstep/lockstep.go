@@ -21,7 +21,7 @@
 // others above them). Keys are strictly increasing per core (cpu.Core.now
 // advances by at least one cycle per step), so the grant order equals the
 // serial step order and the shared structures observe the identical
-// operation sequence — same LLC tick stamps, same DRAM bank state, same
+// operation sequence — same LLC recency order, same DRAM bank state, same
 // allocator order, byte for byte.
 //
 // The one way private state couples across cores is LLC back-invalidation:
