@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vbi/internal/trace"
 	"vbi/internal/workloads"
 )
 
@@ -60,8 +61,81 @@ func TestGoldenRunResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("byte-identity matrix runs all eleven machines; skipped in -short")
 	}
-	path := filepath.Join("testdata", "golden_runresults.json")
-	got, err := json.MarshalIndent(goldenResults(t), "", " ")
+	checkGolden(t, "golden_runresults.json", goldenResults(t))
+}
+
+// bundleGoldenRefs is per core: four cores step warmup+refs each.
+const bundleGoldenRefs = 8_000
+
+// goldenBundle names one quad-core Multicore run in golden_bundles.json.
+type goldenBundle struct {
+	Name  string
+	Kind  string
+	Cores []RunResult
+}
+
+// goldenBundles runs the Table 2 wl3 bundle under one kind of each runner
+// family (conventional, nested, virtual cache, Enigma, VBI) plus four
+// copies of mcf under VIVT, where every core tags the same virtual lines
+// so LLC back-invalidations hit lines present in peer private caches.
+func goldenBundles(t *testing.T) []goldenBundle {
+	t.Helper()
+	mcf := workloads.MustGet("mcf")
+	runs := []struct {
+		name  string
+		kind  Kind
+		profs []trace.Profile
+	}{
+		{"wl3", Native, bundleProfiles(t, "wl3")},
+		{"wl3", Virtual2M, bundleProfiles(t, "wl3")},
+		{"wl3", VIVT, bundleProfiles(t, "wl3")},
+		{"wl3", EnigmaHW2M, bundleProfiles(t, "wl3")},
+		{"wl3", VBIFull, bundleProfiles(t, "wl3")},
+		{"4xmcf", VIVT, []trace.Profile{mcf, mcf, mcf, mcf}},
+	}
+	var out []goldenBundle
+	for _, r := range runs {
+		m, err := NewMulticore(Config{Kind: r.kind, Refs: bundleGoldenRefs}, r.profs)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", r.name, r.kind, err)
+		}
+		cores, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s/%s: %v", r.name, r.kind, err)
+		}
+		out = append(out, goldenBundle{Name: r.name, Kind: r.kind.String(), Cores: cores})
+	}
+	return out
+}
+
+// TestGoldenBundleResults pins serial Multicore.Run per-core results
+// byte-for-byte: the causal smallest-now() interleave, shared-LLC
+// back-invalidation into peer private caches, and shared OS/MTL state.
+// Regenerate only under the same rule as TestGoldenRunResults:
+//
+//	VBI_GOLDEN_REGEN=1 go test -run TestGoldenBundleResults ./internal/system
+func TestGoldenBundleResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six quad-core machines; skipped in -short")
+	}
+	checkGolden(t, "golden_bundles.json", goldenBundles(t))
+}
+
+func bundleProfiles(t *testing.T, name string) []trace.Profile {
+	t.Helper()
+	var profs []trace.Profile
+	for _, app := range workloads.Bundles[name] {
+		profs = append(profs, workloads.MustGet(app))
+	}
+	return profs
+}
+
+// checkGolden compares v's indented JSON with testdata/name, or rewrites
+// the file when VBI_GOLDEN_REGEN is set.
+func checkGolden(t *testing.T, name string, v any) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	got, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,12 +239,3 @@ func TestRunShardedFewerWorkers(t *testing.T) {
 		t.Errorf("2-worker sharded bundle diverged from serial\n got %s\nwant %s", got, want)
 	}
 }
-
-func bundleProfiles(t *testing.T, name string) []trace.Profile {
-	t.Helper()
-	var profs []trace.Profile
-	for _, app := range workloads.Bundles[name] {
-		profs = append(profs, workloads.MustGet(app))
-	}
-	return profs
-}
