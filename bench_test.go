@@ -12,9 +12,7 @@ package vbi
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -180,90 +178,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // VBIFullKind re-exports the flagship configuration for the throughput
 // benchmark.
 const VBIFullKind = system.VBIFull
-
-// TestBenchBaseline is the perf-trajectory guard over the Figure 6
-// matrix. Env-gated because it always simulates — no cache — and so
-// costs real time. Two modes:
-//
-//	VBI_BENCH_BASELINE=BENCH_fig6.json go test -run TestBenchBaseline
-//
-// regenerates the tracked baseline document (cmd/vbibench
-// -bench-baseline writes the same document at full scale), and
-//
-//	VBI_BENCH_GUARD=1 go test -run TestBenchBaseline
-//
-// re-measures and fails if aggregate simulator throughput (refs/sec
-// summed over the matrix) regressed more than 25% against the committed
-// BENCH_fig6.json. Throughput, not wall-clock, so the guard is
-// comparable across pool widths and refs scales. With neither variable
-// set the test skips with a pointer to both modes.
-func TestBenchBaseline(t *testing.T) {
-	if path := os.Getenv("VBI_BENCH_BASELINE"); path != "" {
-		b, err := exp.BenchBaseline(exp.Options{Refs: benchRefs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b.Systems) == 0 || b.Systems[0].RefsPerSecond <= 0 {
-			t.Fatalf("degenerate baseline: %+v", b)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("baseline written to %s (%d systems)", path, len(b.Systems))
-		return
-	}
-	if os.Getenv("VBI_BENCH_GUARD") == "" {
-		t.Skip("set VBI_BENCH_BASELINE=<path> to regenerate the perf baseline, or VBI_BENCH_GUARD=1 to guard against BENCH_fig6.json")
-	}
-	raw, err := os.ReadFile("BENCH_fig6.json")
-	if err != nil {
-		t.Skipf("no committed baseline to guard against: %v", err)
-	}
-	var committed exp.Baseline
-	if err := json.Unmarshal(raw, &committed); err != nil {
-		t.Fatalf("decode committed baseline: %v", err)
-	}
-	if committed.Harness != harness.Version {
-		t.Skipf("committed baseline measured under %s, this binary is %s; regenerate with VBI_BENCH_BASELINE before guarding",
-			committed.Harness, harness.Version)
-	}
-	// Aggregate throughput: total simulated references over total
-	// simulation seconds. Measured under the committed baseline's own
-	// conditions — same refs scale (per-run fixed costs amortize
-	// differently at different refs) and same pool width (SimSeconds
-	// sums per-run wall clock, which inflates under pool contention) —
-	// so the ratio isolates the simulator, not the harness setup.
-	aggregate := func(b *exp.Baseline) float64 {
-		var secs float64
-		for _, s := range b.Systems {
-			secs += s.SimSeconds
-		}
-		if secs <= 0 {
-			return 0
-		}
-		return float64(b.Refs) * float64(b.Workloads) * float64(len(b.Systems)) / secs
-	}
-	want := aggregate(&committed)
-	if want <= 0 {
-		t.Fatalf("degenerate committed baseline: %+v", committed)
-	}
-	b, err := exp.BenchBaseline(exp.Options{Refs: committed.Refs, Workers: committed.Workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := aggregate(b)
-	t.Logf("aggregate throughput: committed %.0f refs/s, measured %.0f refs/s (%.2fx)", want, got, got/want)
-	if got < want/1.25 {
-		t.Errorf("simulator throughput regressed more than 25%%: committed %.0f refs/s, measured %.0f refs/s", want, got)
-	}
-}
 
 // BenchmarkHarnessWorkers measures the experiment orchestrator itself: the
 // same job batch at one worker vs full parallelism. On a multi-core

@@ -11,12 +11,6 @@
 //	vbibench -exp fig6 -param l2_tlb_entries=1024   # figures under altered hardware
 //	vbibench -exp all -remote 10.0.0.7:9471,10.0.0.8:9471 -cache .vbicache
 //	vbibench -exp all -fleet :9600 -auth-token secret -cache .vbicache
-//	vbibench -bench-baseline BENCH_fig6.json -refs 100000
-//
-// -bench-baseline measures the simulator itself instead of reproducing a
-// figure: it times every Figure 6 run locally (no cache, no remote) and
-// writes the per-system wall-clock + refs/sec document that tracks the
-// repo's performance trajectory (see BENCH_fig6.json).
 package main
 
 import (
@@ -43,24 +37,22 @@ func main() {
 	params := harness.ParamAxes{}
 	tlsOpts := &dist.TLSOptions{}
 	var (
-		baseline = flag.String("bench-baseline", "", "measure the Figure 6 matrix locally and write the per-system timing baseline to this file")
-		profile  = flag.String("profile", "", `capture pprof profiles of this process: "cpu,heap,out=DIR" (either profile kind, comma-separated; out= names the directory)`)
-		version  = flag.Bool("version", false, "print protocol and harness versions, then exit")
+		profile = flag.String("profile", "", `capture pprof profiles of this process: "cpu,heap,out=DIR" (either profile kind, comma-separated; out= names the directory)`)
+		version = flag.Bool("version", false, "print protocol and harness versions, then exit")
 	)
 	var (
-		which     = flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
-		refs      = flag.Int("refs", 400_000, "measured references per run")
-		seed      = flag.Uint64("seed", 1, "trace seed")
-		out       = flag.String("out", "", "also write results to this file")
-		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache     = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		jobShards = flag.Int("job-shards", 0, "decompose each job into this many intra-job shards; figure bytes stay identical")
-		remote    = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards every figure's batch across them")
-		fleet     = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-		authTok   = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
-		jsonOut   = flag.String("json", "", "write figure tables as JSON to this file")
-		csvOut    = flag.String("csv", "", "write figure tables as CSV to this file")
-		verbose   = flag.Bool("v", false, "log every run")
+		which   = flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
+		refs    = flag.Int("refs", 400_000, "measured references per run")
+		seed    = flag.Uint64("seed", 1, "trace seed")
+		out     = flag.String("out", "", "also write results to this file")
+		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cache   = flag.String("cache", "", "result-cache directory (empty = no cache)")
+		remote  = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards every figure's batch across them")
+		fleet   = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
+		authTok = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
+		jsonOut = flag.String("json", "", "write figure tables as JSON to this file")
+		csvOut  = flag.String("csv", "", "write figure tables as CSV to this file")
+		verbose = flag.Bool("v", false, "log every run")
 	)
 	flag.Var(params, "param", "parameter override name=value applied to every run (repeatable; see vbisweep -list)")
 	tlsOpts.Flags(flag.CommandLine)
@@ -109,7 +101,7 @@ func main() {
 	// static tables run.
 	exported := []namedTable{}
 
-	// Ctrl-C stops the current figure at job (or shard) granularity:
+	// Ctrl-C stops the current figure at job granularity:
 	// completed work stays cached, so the next invocation resumes there.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -119,31 +111,9 @@ func main() {
 	}()
 
 	o := exp.Options{Refs: *refs, Seed: *seed, Workers: *workers, CacheDir: *cache,
-		Params: overlay, JobShards: *jobShards, Context: ctx}
+		Params: overlay, Context: ctx}
 	if *verbose {
 		o.Progress = os.Stderr
-	}
-
-	if *baseline != "" {
-		// The baseline always simulates locally (cache hits and remote
-		// results carry no timing), so it ignores -cache/-remote/-fleet.
-		b, err := exp.BenchBaseline(o)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		if err := b.WriteJSON(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "vbibench: baseline written to %s (%d systems, %d refs each over %d workloads)\n",
-			*baseline, len(b.Systems), b.Refs, b.Workloads)
-		return
 	}
 
 	if *remote != "" || *fleet != "" {

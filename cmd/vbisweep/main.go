@@ -103,30 +103,27 @@ func main() {
 		nameF   = flag.String("name", "", "human label attached to a -submit")
 	)
 	var (
-		systemsF    = flag.String("systems", "", "comma-separated system/spec names (default Native,VBI-Full; see -list)")
-		workloadsF  = flag.String("workloads", "", "comma-separated workload names (default mcf,graph500 unless -bundle is given; see -list)")
-		bundlesF    = flag.String("bundle", "", "comma-separated multiprogrammed bundles: a Table 2 name (wl1) or name=app1+app2+... (see -list)")
-		seedsF      = flag.String("seeds", "", "comma-separated trace seeds (default 1)")
-		refsF       = flag.String("refs", "", "measured references per run; a comma list sweeps refs as an axis (default 100000)")
-		heteroF     = flag.String("hetero", "", "comma-separated heterogeneous memories (replaces -systems; see -list)")
-		policiesF   = flag.String("policies", "", "comma-separated placement policies for -hetero (default all; see -list)")
-		config      = flag.String("config", "", "JSON grid config (exclusive with the axis flags)")
-		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		remote      = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards the sweep across them (empty = local pool)")
-		fleet       = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-		authToken   = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
-		cacheStats  = flag.Bool("cache-stats", false, "print entry/byte/version stats for -cache and exit")
-		cachePrune  = flag.Bool("cache-prune", false, "delete -cache entries from other schema versions and exit")
-		jobShards   = flag.Int("job-shards", 0, "decompose each job into this many intra-job shards (time slices / bundle goroutines); results stay byte-identical")
-		shardApprox = flag.Bool("shard-approx", false, "sampled warm-up for -job-shards time slices: faster, estimates with a reported error bound instead of exact replay")
-		shardWarmup = flag.Int("shard-warmup", 0, "per-slice warm-up refs in -shard-approx mode (0 = half the slice window)")
-		metric      = flag.String("metric", harness.MetricIPC, "matrix metric: "+strings.Join(harness.Metrics(), " or "))
-		jsonOut     = flag.String("json", "", "write the matrix as JSON to this file")
-		csvOut      = flag.String("csv", "", "write the matrix as CSV to this file")
-		list        = flag.Bool("list", false, "list systems, specs, workloads, memories, policies and parameters")
-		verbose     = flag.Bool("v", false, "log every run")
-		versionF    = flag.Bool("version", false, "print protocol and harness versions, then exit")
+		systemsF   = flag.String("systems", "", "comma-separated system/spec names (default Native,VBI-Full; see -list)")
+		workloadsF = flag.String("workloads", "", "comma-separated workload names (default mcf,graph500 unless -bundle is given; see -list)")
+		bundlesF   = flag.String("bundle", "", "comma-separated multiprogrammed bundles: a Table 2 name (wl1) or name=app1+app2+... (see -list)")
+		seedsF     = flag.String("seeds", "", "comma-separated trace seeds (default 1)")
+		refsF      = flag.String("refs", "", "measured references per run; a comma list sweeps refs as an axis (default 100000)")
+		heteroF    = flag.String("hetero", "", "comma-separated heterogeneous memories (replaces -systems; see -list)")
+		policiesF  = flag.String("policies", "", "comma-separated placement policies for -hetero (default all; see -list)")
+		config     = flag.String("config", "", "JSON grid config (exclusive with the axis flags)")
+		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cacheDir   = flag.String("cache", "", "result-cache directory (empty = no cache)")
+		remote     = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards the sweep across them (empty = local pool)")
+		fleet      = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
+		authToken  = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
+		cacheStats = flag.Bool("cache-stats", false, "print entry/byte/version stats for -cache and exit")
+		cachePrune = flag.Bool("cache-prune", false, "delete -cache entries from other schema versions and exit")
+		metric     = flag.String("metric", harness.MetricIPC, "matrix metric: "+strings.Join(harness.Metrics(), " or "))
+		jsonOut    = flag.String("json", "", "write the matrix as JSON to this file")
+		csvOut     = flag.String("csv", "", "write the matrix as CSV to this file")
+		list       = flag.Bool("list", false, "list systems, specs, workloads, memories, policies and parameters")
+		verbose    = flag.Bool("v", false, "log every run")
+		versionF   = flag.Bool("version", false, "print protocol and harness versions, then exit")
 	)
 	flag.Var(params, "param", "parameter axis name=v1,v2,... (repeatable; see -list)")
 	tlsOpts.Flags(flag.CommandLine)
@@ -330,20 +327,7 @@ func main() {
 		}
 		exec = coord
 	}
-	if *jobShards > 1 {
-		// Wrap whatever backend was chosen: slices scatter over the local
-		// pool or the fleet like ordinary jobs, and the fold returns the
-		// exact (or, with -shard-approx, estimated) parent results.
-		exec = &harness.JobShards{
-			Inner:      exec,
-			K:          *jobShards,
-			Approx:     *shardApprox,
-			WarmupRefs: *shardWarmup,
-			Cache:      runner.Cache,
-		}
-	}
-
-	// Ctrl-C stops feeding the pool (or sharding): in-flight jobs finish
+	// Ctrl-C stops feeding the pool: in-flight jobs finish
 	// and cached results stay, so the next invocation resumes from there.
 	// Once cancelled the handler unregisters, so a second Ctrl-C kills the
 	// process instead of waiting out the in-flight simulations.
@@ -373,21 +357,6 @@ func main() {
 	}
 	fmt.Printf("\n%d runs (%d simulated, %d from cache)\n",
 		len(results), len(results)-cached, cached)
-	if *jobShards > 1 {
-		var shardNs, wallNs int64
-		for _, r := range results {
-			if r.Timing != nil && r.Timing.Shards > 1 {
-				shardNs += r.Timing.ShardWallNanos
-				wallNs += r.Timing.WallNanos
-			}
-		}
-		// Bundles report no per-shard wall (their goroutines overlap one
-		// clock), so the speedup line only covers time-sliced jobs.
-		if shardNs > 0 && wallNs > 0 {
-			fmt.Printf("intra-job shards: %d-way, speedup %.2fx (%.2fs of shard work in %.2fs)\n",
-				*jobShards, float64(shardNs)/float64(wallNs), float64(shardNs)/1e9, float64(wallNs)/1e9)
-		}
-	}
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)

@@ -53,7 +53,6 @@ func main() {
 		addr      = flag.String("addr", ":9471", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir  = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		jobShards = flag.Int("job-shards", 0, "decompose each arriving whole job into this many intra-job shards over the local pool; result bytes stay identical")
 		join      = flag.String("join", "", "coordinator fleet address (vbisweep -fleet / vbisweepd) to register with and heartbeat")
 		advertise = flag.String("advertise", "", "address advertised on -join for shard requests (default -addr; an empty host is filled in by the coordinator)")
 		authToken = flag.String("auth-token", "", "shared fleet token gating this worker's endpoints and sent on -join (default $"+dist.AuthEnv+")")
@@ -87,8 +86,7 @@ func main() {
 	if *cacheDir != "" {
 		runner.Cache = &harness.Cache{Dir: *cacheDir}
 	}
-	w := &dist.Worker{Runner: runner, AuthToken: token, Logger: logger, Pprof: *pprof,
-		JobShards: *jobShards}
+	w := &dist.Worker{Runner: runner, AuthToken: token, Logger: logger, Pprof: *pprof}
 	if *verbose {
 		runner.Progress = os.Stderr
 	}

@@ -96,13 +96,6 @@ func (c *Cache) set(line uint64) []uint64 {
 	return c.tags[base : base+c.ways : base+c.ways]
 }
 
-// sameSet reports whether two line addresses index the same set (used by
-// the sharded-run back-invalidation conflict check: an invalidation frees
-// a way, which changes victim selection for later inserts in that set).
-//
-//vbi:hotpath
-func (c *Cache) sameSet(a, b uint64) bool { return c.setOf(a) == c.setOf(b) }
-
 // find returns the way holding line within set, or -1. It is the one
 // tag-match loop every probe shares: the dirty bit is masked off, and the
 // valid bit in the wanted word keeps an empty (zero) way from matching.

@@ -261,7 +261,7 @@ func (r *churnRNG) next() uint64 {
 }
 
 // TestCacheMatchesStampReference drives the recency-ordered Cache and the
-// stamp reference in lockstep through a seeded churn — demand lookups
+// stamp reference in step through a seeded churn — demand lookups
 // (read and write), MarkDirty, inserts of present and absent lines,
 // mid-set invalidations, InvalidateAll and InvalidateIf — over geometries
 // from one line to a 32-way set, including a fully associative 64-way

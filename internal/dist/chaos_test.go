@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vbi/internal/harness"
-	"vbi/internal/system"
 )
 
 // chaosCoordinator builds a coordinator tuned for fast membership churn in
@@ -252,82 +251,5 @@ func TestChaosMembershipChurn(t *testing.T) {
 	if wt.Render() != gt.Render() {
 		t.Errorf("chaos matrix differs from serial local run:\nlocal:\n%s\nchaos:\n%s",
 			wt.Render(), gt.Render())
-	}
-}
-
-// TestChaosWorkerDiesHoldingIntraJobShard kills a worker while it holds
-// one slice of a time-sharded job: harness.JobShards slices a single
-// simulation 4-way over a 2-worker coordinator, the doomed worker blocks
-// on its first slice and has its connection dropped mid-run, the slice
-// requeues onto the survivor, and the folded result must still be
-// byte-identical to a serial, unsliced local run.
-func TestChaosWorkerDiesHoldingIntraJobShard(t *testing.T) {
-	job := harness.Job{Spec: system.MustSpec("VBI-Full"), Workloads: []string{"mcf"}, Refs: 8_000}
-	want, err := (&harness.Runner{Workers: 1}).Run(context.Background(), []harness.Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	survivor := newWorkerServer(t, 1)
-
-	var (
-		dHolding = make(chan struct{}) // closed: doomed worker holds a slice
-		dKilled  = make(chan struct{}) // closed: doomed worker is dead
-		dHold    atomic.Bool
-	)
-	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
-	doomed := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != PathRun {
-			inner.ServeHTTP(rw, req)
-			return
-		}
-		if dHold.CompareAndSwap(false, true) {
-			close(dHolding)
-		}
-		<-dKilled
-		hj, ok := rw.(http.Hijacker)
-		if !ok {
-			t.Error("response writer cannot hijack")
-			return
-		}
-		if conn, _, err := hj.Hijack(); err == nil {
-			conn.Close()
-		}
-	}))
-	t.Cleanup(doomed.Close)
-
-	coord := &Coordinator{
-		Endpoints:    []string{doomed.URL, survivor.URL},
-		ShardSize:    1,
-		Retries:      1,
-		Timeout:      time.Minute,
-		PollInterval: 5 * time.Millisecond,
-	}
-	exec := &harness.JobShards{Inner: coord, K: 4}
-
-	runDone := make(chan struct{})
-	var got []harness.Result
-	var runErr error
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	go func() {
-		defer close(runDone)
-		got, runErr = exec.Run(ctx, []harness.Job{job})
-	}()
-
-	select {
-	case <-dHolding:
-	case <-runDone:
-		t.Fatal("sweep finished before the doomed worker held a slice")
-	}
-	close(dKilled)
-
-	<-runDone
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	matchLocal(t, got, want)
-	if got[0].Timing == nil || got[0].Timing.Shards != 4 {
-		t.Errorf("folded timing = %+v, want Shards=4", got[0].Timing)
 	}
 }

@@ -21,17 +21,6 @@ type workerMetrics struct {
 	jobsCached int64
 	phases     obs.PhaseCounts
 	jobSeconds *obs.Histogram
-
-	// Intra-job parallelism telemetry. sliceJobs counts time-slice
-	// sub-jobs served (one slice of a decomposed simulation); the intra*
-	// fields accumulate over jobs this worker itself decomposed
-	// (Timing.Shards > 1): shard-seconds is total simulation work,
-	// wall-seconds the decomposed critical path, and their ratio the
-	// intra-job speedup.
-	sliceJobs       int64
-	intraSharded    int64
-	intraShardNanos int64
-	intraWallNanos  int64
 }
 
 func (m *workerMetrics) hist() *obs.Histogram {
@@ -66,18 +55,10 @@ func (m *workerMetrics) observeJob(res harness.Result) {
 	} else {
 		m.jobsSim++
 	}
-	if res.Job.Slice != nil {
-		m.sliceJobs++
-	}
 	if t := res.Timing; t != nil {
 		m.phases = m.phases.Add(t.Phases)
 		if !t.Cached {
 			m.hist().Observe(t.Wall().Seconds())
-		}
-		if t.Shards > 1 {
-			m.intraSharded++
-			m.intraShardNanos += t.ShardWallNanos
-			m.intraWallNanos += t.WallNanos
 		}
 	}
 }
@@ -113,15 +94,6 @@ func (m *workerMetrics) write(w io.Writer) {
 			obs.S(m.phases.TLB, obs.L("phase", "tlb")),
 			obs.S(m.phases.Walk, obs.L("phase", "walk")),
 		})
-	obs.WriteFamily(w, "vbiworker_slice_jobs_total", "Time-slice sub-jobs of decomposed simulations served.", "counter",
-		[]obs.Sample{obs.S(m.sliceJobs)})
-	obs.WriteFamily(w, "vbiworker_intra_job_sharded_total", "Jobs this worker decomposed into intra-job shards.", "counter",
-		[]obs.Sample{obs.S(m.intraSharded)})
-	obs.WriteFamily(w, "vbiworker_intra_job_shard_seconds_total",
-		"Summed per-shard wall seconds of decomposed jobs; divided by vbiworker_intra_job_wall_seconds_total it is the intra-job speedup.", "counter",
-		[]obs.Sample{obs.S(float64(m.intraShardNanos) / 1e9)})
-	obs.WriteFamily(w, "vbiworker_intra_job_wall_seconds_total", "Critical-path wall seconds of decomposed jobs.", "counter",
-		[]obs.Sample{obs.S(float64(m.intraWallNanos) / 1e9)})
 	snap := m.hist().Snapshot()
 	obs.WriteHistogram(w, "vbiworker_job_seconds", "Wall-clock seconds per simulated job (cache hits excluded).", nil, snap)
 	obs.WriteFamily(w, "vbiworker_job_seconds_quantile", "Estimated job-latency quantiles from the histogram.", "gauge",

@@ -49,11 +49,12 @@ func VersionLine(tool string) string {
 // spec registry); wire3 adds per-job timing to RunResponse: every
 // JobResult carries an obs.JobTiming beside its results, so the
 // coordinator sees where remote time went without the deterministic
-// result payload changing by a byte; wire4 adds intra-job sharding to
-// the Job schema (Slice and Shards fields) — a wire3 worker would
-// silently drop the slice window and simulate the whole job, so the
-// bump makes stale fleets fail fast at handshake instead.
-const ProtocolVersion = harness.Version + "+wire4"
+// result payload changing by a byte; wire4 added a time-slice window and
+// a bundle goroutine hint to the Job schema, and wire5 removes both
+// again. A wire5 worker would ignore a wire4 coordinator's slice window
+// and simulate the whole job, so the bump refuses mixed fleets at
+// handshake instead.
+const ProtocolVersion = harness.Version + "+wire5"
 
 // URL paths of the fleet protocol. PathHealthz and PathRun are served by
 // workers; PathRegister and PathLeave are served by the coordinator's

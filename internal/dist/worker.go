@@ -24,15 +24,6 @@ type Worker struct {
 	// Runner executes the shards. A nil Runner means a default local pool
 	// (GOMAXPROCS workers, no cache).
 	Runner *harness.Runner
-	// JobShards, when > 1, decomposes each whole job arriving at this
-	// worker into that many intra-job shards over the local pool
-	// (harness.JobShards): single-workload jobs become time slices,
-	// bundles run their cores on concurrent goroutines. Results stay
-	// byte-identical to undecomposed execution; per-job timing gains the
-	// shard breakdown the /metrics intra-job families aggregate. Jobs
-	// that are already slices pass through untouched, so a coordinator
-	// that slices upstream composes safely with a sharding worker.
-	JobShards int
 	// AuthToken, when non-empty, gates every route (constant-time bearer
 	// compare, 401 on mismatch), so an unauthenticated coordinator cannot
 	// hand this worker shards. It must match the coordinator's token.
@@ -170,16 +161,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	if r == nil {
 		r = &harness.Runner{}
 	}
-	var exec harness.Executor = r
-	if w.JobShards > 1 {
-		exec = &harness.JobShards{Inner: r, K: w.JobShards, Cache: r.Cache}
-	}
 	log.Info("shard accepted", "jobs", len(rr.Jobs))
 	w.metrics.shardStart(len(rr.Jobs))
 	start := time.Now()
 	// The request context cancels the shard when the coordinator hangs up
 	// (timeout, abort): in-flight jobs finish, queued jobs are skipped.
-	results, err := exec.Run(req.Context(), rr.Jobs)
+	results, err := r.Run(req.Context(), rr.Jobs)
 	w.metrics.shardEnd(len(rr.Jobs))
 	if err != nil {
 		log.Error("shard failed", "jobs", len(rr.Jobs), "err", err)

@@ -46,15 +46,9 @@ type Options struct {
 	// Progress. Positional aggregation makes the figures identical either
 	// way.
 	Executor harness.Executor
-	// JobShards, when > 1, decomposes every job into that many intra-job
-	// shards before execution (harness.JobShards over whichever backend is
-	// in use): single-core runs become time slices, bundles run their
-	// cores on concurrent goroutines. Figure bytes are identical either
-	// way — the exact fold is byte-identical to whole-job execution.
-	JobShards int
 	// Context, when non-nil, cancels every figure's job batch (vbibench
-	// wires its signal context here, so Ctrl-C stops a figure at job — or
-	// shard — granularity with completed work cached). Nil means
+	// wires its signal context here, so Ctrl-C stops a figure at job
+	// granularity with completed work cached). Nil means
 	// context.Background().
 	Context context.Context
 }
@@ -86,18 +80,14 @@ func (o Options) logf(format string, args ...any) {
 // exec returns the executor the figure functions share: the configured
 // Executor, or a local harness runner.
 func (o Options) exec() harness.Executor {
+	if o.Executor != nil {
+		return o.Executor
+	}
 	var cache *harness.Cache
 	if o.CacheDir != "" {
 		cache = &harness.Cache{Dir: o.CacheDir}
 	}
-	e := o.Executor
-	if e == nil {
-		e = &harness.Runner{Workers: o.Workers, Progress: o.Progress, Cache: cache}
-	}
-	if o.JobShards > 1 {
-		e = &harness.JobShards{Inner: e, K: o.JobShards, Cache: cache}
-	}
-	return e
+	return &harness.Runner{Workers: o.Workers, Progress: o.Progress, Cache: cache}
 }
 
 // runKey identifies one single-core run within a figure.

@@ -51,11 +51,9 @@ type entry struct {
 // canonical job JSON. Jobs are self-describing — the resolved spec (base
 // kind + materialized overlay) is part of that JSON — so the key needs no
 // registry lookup, and two processes that bind the same variant name to
-// different overlays produce different keys by construction. Execution
-// hints that cannot change the result bytes (Job.Shards) are erased, so
-// sharded and serial bundle runs share entries.
+// different overlays produce different keys by construction.
 func (c *Cache) Key(j Job) string {
-	b, err := json.Marshal(j.canonical())
+	b, err := json.Marshal(j)
 	if err != nil {
 		// Job is plain data; Marshal cannot fail.
 		panic(fmt.Sprintf("harness: marshal job: %v", err))
@@ -85,8 +83,8 @@ func (c *Cache) Get(j Job) ([]system.RunResult, bool) {
 	}
 	// Reject collisions/corruption: the stored spec must round-trip to the
 	// same canonical JSON as the requested one.
-	want, _ := json.Marshal(j.canonical())
-	got, _ := json.Marshal(e.Job.canonical())
+	want, _ := json.Marshal(j)
+	got, _ := json.Marshal(e.Job)
 	if !bytes.Equal(want, got) {
 		c.misses.Add(1)
 		return nil, false
@@ -100,7 +98,7 @@ func (c *Cache) Put(j Job, results []system.RunResult) error {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(entry{Version: Version, Job: j.canonical(), Results: results}, "", " ")
+	b, err := json.MarshalIndent(entry{Version: Version, Job: j, Results: results}, "", " ")
 	if err != nil {
 		return err
 	}

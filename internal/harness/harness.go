@@ -76,27 +76,6 @@ type Job struct {
 	// heterogeneous-memory run under Policy ("Unaware", "VBI" or "IDEAL").
 	HeteroMem string `json:"hetero_mem,omitempty"`
 	Policy    string `json:"policy,omitempty"`
-
-	// Slice, when set, makes this a time-shard job: it simulates only the
-	// slice's measured-reference window (single-core jobs only; see
-	// system.Slice). Slice jobs are ordinary jobs to every executor — they
-	// ride the dist wire, retry machinery and result cache unchanged, each
-	// slice under its own cache key.
-	Slice *system.Slice `json:"slice,omitempty"`
-	// Shards, when > 1, asks the executing pool to run a multiprogrammed
-	// bundle's cores on up to Shards concurrent goroutines
-	// (system.Multicore.RunSharded). The results are byte-identical to the
-	// serial interleave, so Shards is erased from the canonical cache-key
-	// JSON: sharded and serial runs share cache entries.
-	Shards int `json:"shards,omitempty"`
-}
-
-// canonical returns the job as hashed and stored by the result cache.
-// Shards is erased: it changes only how a bundle is executed, never its
-// bytes. Slice stays — each window is its own deterministic result.
-func (j Job) canonical() Job {
-	j.Shards = 0
-	return j
 }
 
 // Result pairs a job with the per-core results of its run.
@@ -132,21 +111,6 @@ func (j Job) Validate() error {
 	}
 	if err := j.Params.Validate(); err != nil {
 		return err
-	}
-	if j.Slice != nil {
-		if len(j.Workloads) != 1 {
-			return fmt.Errorf("harness: slice jobs are single-core (bundle cores shard via Shards)")
-		}
-		refs := j.Refs
-		if refs == 0 {
-			refs = 1_000_000
-		}
-		if err := j.Slice.Validate(refs); err != nil {
-			return err
-		}
-		if j.HeteroMem != "" && j.Slice.Approx {
-			return fmt.Errorf("harness: approx slicing unsupported for hetero jobs (migration is feedback-driven)")
-		}
 	}
 	if j.HeteroMem != "" {
 		if j.Spec != nil {
@@ -194,9 +158,6 @@ func (j Job) Describe() string {
 	if len(j.Workloads) > 1 {
 		out = fmt.Sprintf("%s@%s", apps, name)
 	}
-	if j.Slice != nil {
-		out = fmt.Sprintf("%s #%d/%d", out, j.Slice.Index+1, j.Slice.Of)
-	}
 	return out
 }
 
@@ -217,12 +178,7 @@ func (j Job) run() ([]system.RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var res system.RunResult
-		if j.Slice != nil {
-			res, err = m.RunSlice(*j.Slice)
-		} else {
-			res, err = m.Run()
-		}
+		res, err := m.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -245,21 +201,13 @@ func (j Job) run() ([]system.RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if j.Shards > 1 {
-			return mc.RunSharded(j.Shards)
-		}
 		return mc.Run()
 	}
 	m, err := system.New(cfg, workloads.MustGet(j.Workloads[0]))
 	if err != nil {
 		return nil, err
 	}
-	var res system.RunResult
-	if j.Slice != nil {
-		res, err = m.RunSlice(*j.Slice)
-	} else {
-		res, err = m.Run()
-	}
+	res, err := m.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -409,14 +357,6 @@ func (r *Runner) runOne(j Job, queuedAt time.Time) (Result, error) {
 		WallNanos:  elapsed.Nanoseconds(),
 		QueueNanos: queued.Nanoseconds(),
 		Phases:     system.SumPhases(res),
-	}
-	if j.Shards > 1 && len(j.Workloads) > 1 {
-		// Record the decomposition the bundle actually ran with
-		// (RunSharded clamps the goroutine count to the core count).
-		timing.Shards = j.Shards
-		if timing.Shards > len(j.Workloads) {
-			timing.Shards = len(j.Workloads)
-		}
 	}
 	return Result{Job: j, Results: res, Elapsed: elapsed, Timing: timing}, nil
 }

@@ -90,24 +90,6 @@ type JobTiming struct {
 	// cores (cache hits report it too — the counters are part of the
 	// cached result).
 	Phases PhaseCounts `json:"phases"`
-
-	// Shards is the number of intra-job shards the job was decomposed
-	// into (0 or 1 = executed whole). For time-sliced jobs it counts the
-	// slice sub-jobs; for sharded bundles, the worker goroutines.
-	Shards int `json:"shards,omitempty"`
-	// ShardWallNanos is the summed wall clock of the shard executions.
-	// Against WallNanos (the decomposed job's end-to-end critical path)
-	// it yields the intra-job speedup ShardWallNanos/WallNanos.
-	ShardWallNanos int64 `json:"shard_wall_nanos,omitempty"`
-}
-
-// Speedup returns the intra-job parallel speedup (1 when the job was not
-// decomposed or not timed).
-func (t *JobTiming) Speedup() float64 {
-	if t.Shards <= 1 || t.ShardWallNanos == 0 || t.WallNanos == 0 {
-		return 1
-	}
-	return float64(t.ShardWallNanos) / float64(t.WallNanos)
 }
 
 // Wall returns the wall clock as a duration.

@@ -230,7 +230,6 @@ func (r *convRunner) translate(va uint64, at uint64) (uint64, phys.Addr, error) 
 		// Idealized bound: no translation overhead and no demand-paging
 		// cost (the pages appear mapped for free). Perfect TLB is a native
 		// kind, so one descent both demand-pages and translates.
-		r.gate.Enter()
 		pa, _, err := r.touchNative(va)
 		if err != nil {
 			return 0, phys.NoAddr, err
@@ -274,9 +273,7 @@ func (r *convRunner) translate(va uint64, at uint64) (uint64, phys.Addr, error) 
 	}
 	// Walker PTE reads are memory requests (serialized: each level's
 	// address depends on the previous read). The PWC already skipped the
-	// cached upper levels. DRAM bank timing is shared: gate (touch above
-	// already holds the turn; Enter is idempotent).
-	r.gate.Enter()
+	// cached upper levels.
 	r.c.walkAccesses += uint64(len(accesses))
 	for _, a := range accesses {
 		done := r.mem.Access(uint64(a), at+t, false)
@@ -289,11 +286,7 @@ func (r *convRunner) translate(va uint64, at uint64) (uint64, phys.Addr, error) 
 }
 
 // touch performs demand paging, returning the cycle cost of any faults.
-// The OS / hypervisor allocator is shared across a bundle's cores, so a
-// sharded run takes the serial-order turn first (no-op serially; the turn
-// is held to the end of the step, covering the walk that follows).
 func (r *convRunner) touch(va uint64) (uint64, error) {
-	r.gate.Enter()
 	if r.vm != nil {
 		hostBefore := r.vmHost.Stats.HostFaults
 		fault, err := r.vm.Touch(va)

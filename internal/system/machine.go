@@ -6,7 +6,6 @@ import (
 	"vbi/internal/cache"
 	"vbi/internal/cpu"
 	"vbi/internal/dram"
-	"vbi/internal/lockstep"
 	"vbi/internal/stats"
 	"vbi/internal/trace"
 )
@@ -46,15 +45,8 @@ type coreRunner interface {
 	now() uint64
 	// beginMeasurement snapshots counters at the warmup boundary.
 	beginMeasurement()
-	// result finalizes the measured phase. It is a pure snapshot (no
-	// mutation), so time-sliced shards may call it at interior boundaries
-	// to form telescoping windows.
+	// result finalizes the measured phase.
 	result() RunResult
-	// skip advances the reference generator past n references without
-	// simulating them (approximate time-slice warm-up positioning).
-	skip(n int)
-	// kit exposes the embedded hardware bundle (lockstep attachment).
-	kit() *coreKit
 }
 
 // Machine is a runnable single-core system.
@@ -103,12 +95,6 @@ type coreKit struct {
 	// timing paths read.
 	p Params
 
-	// gate is the core's lockstep handle during a sharded bundle run (nil
-	// serially). Runner code Enters it before mutating shared state the
-	// cache hierarchy doesn't already guard (OS allocator, DRAM timing on
-	// the walker path).
-	gate *lockstep.Handle
-
 	// measurement snapshots
 	startCycles uint64
 	startInstrs uint64
@@ -135,21 +121,6 @@ func newCoreKit(prof trace.Profile, seed uint64, p Params, mem *dram.Memory, llc
 		mem:  mem,
 		p:    p,
 	}
-}
-
-// kit satisfies coreRunner for every embedding runner.
-func (k *coreKit) kit() *coreKit { return k }
-
-// skip advances the generator without simulating (see coreRunner.skip).
-func (k *coreKit) skip(n int) { k.gen.Skip(n) }
-
-// attachLockstep binds a lockstep handle to the core for a sharded run:
-// the hierarchy gates its shared-LLC paths and registers the handle for
-// back-invalidation conflict checks, and the runner's own shared-state
-// chokepoints gate through k.gate.
-func (k *coreKit) attachLockstep(h *lockstep.Handle) {
-	k.gate = h
-	k.hier.SetLockstep(h)
 }
 
 func (k *coreKit) beginMeasurement() {

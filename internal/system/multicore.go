@@ -14,9 +14,6 @@ type Multicore struct {
 	cfg     Config
 	runners []coreRunner
 	names   []string
-	// profs is kept so RunSharded can rebuild a fresh machine for the
-	// serial fallback when a parallel run aborts.
-	profs []trace.Profile
 }
 
 // NewMulticore builds a machine with one core per profile.
@@ -32,7 +29,7 @@ func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
 	llc := cache.New("LLC", cfg.Params.LLCSize, cfg.Params.LLCWays)
 	ss := &sharedState{}
 
-	m := &Multicore{cfg: cfg, profs: profs}
+	m := &Multicore{cfg: cfg}
 	var rootHier *cache.Hierarchy
 	for i, prof := range profs {
 		var hier *cache.Hierarchy

@@ -68,3 +68,57 @@ func BenchmarkTLBFullyAssocSpread(b *testing.B) {
 		t.Lookup(seq[i&(len(seq)-1)])
 	}
 }
+
+// mtlL2Entries matches the MTL's default second-level TLB, the larger of
+// the two levels every migrated region is invalidated in.
+const mtlL2Entries = 512
+
+// fillPages fills t with one 4 KB entry per page in [first, first+n).
+func fillPages(t *RangeTLB, first, n uint64) {
+	for pn := first; pn < first+n; pn++ {
+		t.Insert(RangeEntry{Base: pn << pageShift, Size: 4096, Phys: pn << pageShift})
+	}
+}
+
+// BenchmarkRangeTLBInvalidatePage times the per-region invalidation that
+// migration and copy-on-write issue: a 4 KB range, served by probing the
+// page index for the two keys that can overlap it. Each iteration drops a
+// resident page and reinserts it, the way the next translation would, so
+// the TLB stays full.
+func BenchmarkRangeTLBInvalidatePage(b *testing.B) {
+	t := NewRange("MTL", mtlL2Entries)
+	fillPages(t, 0, mtlL2Entries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pn := uint64(i % mtlL2Entries)
+		if t.InvalidateRange(pn<<pageShift, 4096) != 1 {
+			b.Fatal("resident page not dropped")
+		}
+		t.Insert(RangeEntry{Base: pn << pageShift, Size: 4096, Phys: pn << pageShift})
+	}
+}
+
+// BenchmarkRangeTLBInvalidateWide times a whole-VB invalidation (disable or
+// downgrade of a 1 GB VB): the range spans more pages than the index holds,
+// so InvalidateRange scans the index and sorts the keys it collects. One
+// resident page and one big entry lie inside the range and are reinserted
+// after each drop.
+func BenchmarkRangeTLBInvalidateWide(b *testing.B) {
+	const vbBase, vbSize = 1 << 40, 1 << 30
+	t := NewRange("MTL", mtlL2Entries)
+	fillPages(t, 0, mtlL2Entries-2)
+	inside := RangeEntry{Base: vbBase + 7<<pageShift, Size: 4096, Phys: 0x7000}
+	big := RangeEntry{Base: vbBase + vbSize/2, Size: vbSize / 2, Phys: 0}
+	t.Insert(inside)
+	t.Insert(big)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t.InvalidateRange(vbBase, vbSize) != 2 {
+			b.Fatal("entries inside the range not dropped")
+		}
+		t.Insert(inside)
+		t.Insert(big)
+	}
+}

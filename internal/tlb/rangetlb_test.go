@@ -98,7 +98,7 @@ func TestPageIndexMatchesMap(t *testing.T) {
 	}
 }
 
-// TestRangeTLBMatchesRecencyModel runs the TLB in lockstep with a naive
+// TestRangeTLBMatchesRecencyModel runs the TLB in step with a naive
 // recency-list model (a slice ordered LRU→MRU) through a deterministic
 // mix of lookups, inserts past capacity and range invalidations: hit and
 // eviction behavior of the flattened index must be exactly the model's,

@@ -133,7 +133,7 @@ func (t *TLB) victimOrder(set int) []uint64 {
 }
 
 // TestTLBMatchesStampReference drives the recency-ordered TLB and the
-// stamp reference in lockstep through a seeded churn of lookups, inserts
+// stamp reference in step through a seeded churn of lookups, inserts
 // of present keys (value refresh) and absent keys, InvalidateIf (which
 // removes entries mid-set) and InvalidateAll, over geometries from one
 // entry to a 32-way set, including a fully associative 64-way TLB and a
@@ -265,7 +265,7 @@ func (s rangeTLBState) equal(o rangeTLBState) bool {
 }
 
 // TestInvalidateRangeMatchesScan drives the production TLB and one
-// invalidated only through refInvalidateRange in lockstep through a seeded
+// invalidated only through refInvalidateRange in step through a seeded
 // churn of aligned, unaligned and sub-page page entries, big entries,
 // lookups and range invalidations (at base 0, straddling page boundaries,
 // empty, wrapping, and wider than the page index). After every

@@ -217,18 +217,6 @@ func (g *Generator) Next() Ref {
 	}
 }
 
-// Skip advances the stream past n references without materializing them.
-// Generation is timing-independent — the stream is a pure function of
-// (profile, seed) — so skipping is how a time-sliced shard positions its
-// generator at the slice's warm-up window: generating a reference costs
-// tens of nanoseconds against hundreds for simulating it, which is the
-// entire latency win of the approximate sharding mode.
-func (g *Generator) Skip(n int) {
-	for i := 0; i < n; i++ {
-		g.Next()
-	}
-}
-
 // splitMix is SplitMix64: tiny, fast, deterministic.
 type splitMix struct{ state uint64 }
 
