@@ -327,9 +327,9 @@ func main() {
 		}
 		exec = coord
 	}
-	// Ctrl-C stops feeding the pool: in-flight jobs finish
-	// and cached results stay, so the next invocation resumes from there.
-	// Once cancelled the handler unregisters, so a second Ctrl-C kills the
+	// Ctrl-C stops feeding the pool: in-flight jobs finish and cached
+	// results stay, so the next invocation resumes from there. Once
+	// cancelled the handler unregisters, so a second Ctrl-C kills the
 	// process instead of waiting out the in-flight simulations.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
