@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"vbi/internal/cache"
+	"vbi/internal/core"
 	"vbi/internal/dram"
+	"vbi/internal/osmodel"
 	"vbi/internal/trace"
 )
 
@@ -16,7 +18,7 @@ func New(cfg Config, prof trace.Profile) (*Machine, error) {
 	}
 	mem := dram.NewUniform(cfg.Capacity)
 	llc := cache.New("LLC", cfg.Params.LLCSize, cfg.Params.LLCWays)
-	runner, err := newRunner(cfg.Kind, prof, cfg, mem, llc, nil, nil)
+	runner, err := newRunner(cfg.Kind, prof, cfg, mem, llc, nil, &sharedState{})
 	if err != nil {
 		return nil, err
 	}
@@ -27,35 +29,33 @@ func New(cfg Config, prof trace.Profile) (*Machine, error) {
 	}, nil
 }
 
-// sharedState bundles the per-machine singletons quad-core runs share
-// (one OS / hypervisor / MTL across all cores).
+// sharedState holds the singletons a machine's cores share, each built
+// by the first core that needs it: the OS or hypervisor of the
+// conventional kinds, and the MTL-backed system and OS of the VBI kinds.
 type sharedState struct {
-	conv *convShared
-	vbi  *vbiShared
+	os     *osmodel.ConvOS
+	vmHost *osmodel.VMHost
+	sys    *core.System
+	vbios  *osmodel.VBIOS
 }
 
-func newRunner(kind Kind, prof trace.Profile, cfg Config, mem *dram.Memory, llc *cache.Cache, sharedHier *cache.Hierarchy, ss *sharedState) (coreRunner, error) {
+// newRunner builds one core of kind over mem and llc (or sharedHier's LLC)
+// and sets up its translation stage over the singletons in ss.
+func newRunner(kind Kind, prof trace.Profile, cfg Config, mem *dram.Memory, llc *cache.Cache, sharedHier *cache.Hierarchy, ss *sharedState) (*runner, error) {
+	r := newCore(kind, prof, cfg.Seed, cfg.Params, mem, llc, sharedHier)
+	var err error
 	switch kind {
 	case Native, Native2M, Virtual, Virtual2M, PerfectTLB, VIVT:
-		var cs *convShared
-		if ss != nil {
-			if ss.conv == nil {
-				ss.conv = &convShared{}
-			}
-			cs = ss.conv
-		}
-		return newConvRunner(kind, prof, cfg, mem, llc, sharedHier, cs)
+		err = r.initConv(cfg, ss)
 	case EnigmaHW2M:
-		return newEnigmaRunner(prof, cfg, mem, llc, sharedHier, nil)
+		err = r.initEnigma(cfg.Capacity)
 	case VBI1, VBI2, VBIFull:
-		var vs *vbiShared
-		if ss != nil {
-			if ss.vbi == nil {
-				ss.vbi = &vbiShared{}
-			}
-			vs = ss.vbi
-		}
-		return newVBIRunner(kind, prof, cfg, mem, llc, sharedHier, vs)
+		err = r.initVBI(cfg, ss)
+	default:
+		return nil, fmt.Errorf("system: unknown kind %v", kind)
 	}
-	return nil, fmt.Errorf("system: unknown kind %v", kind)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }

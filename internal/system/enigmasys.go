@@ -1,101 +1,43 @@
 package system
 
-import (
-	"vbi/internal/cache"
-	"vbi/internal/cpu"
-	"vbi/internal/dram"
-	"vbi/internal/enigma"
-	"vbi/internal/trace"
-)
+import "vbi/internal/enigma"
 
-// enigmaRunner simulates Enigma-HW-2M (§7.2.2): intermediate-address
-// caches (translation deferred to the memory controller, like VBI), a
-// 16K-entry centralized translation cache, hardware flat-table walks, and
-// 2 MB pages allocated on first touch.
-type enigmaRunner struct {
-	*coreKit
-	eng   *enigma.Enigma
-	bases []uint64
+// Enigma-HW-2M (§7.2.2) caches intermediate addresses, deferring
+// translation to the memory controller like VBI: a 16K-entry centralized
+// translation cache (CTC), hardware flat-table walks, and 2 MB pages
+// allocated on first touch.
 
-	// latFn is the access callback handed to cpu.Step, bound once at
-	// construction so the per-reference loop never allocates a closure;
-	// stepErr carries the current step's access error out of it.
-	latFn   cpu.LatencyFn
-	stepErr error
-
-	c enigmaCounters
-	s enigmaCounters
-}
-
-type enigmaCounters struct {
-	ctcMisses  uint64
-	pageAllocs uint64
-}
-
-func newEnigmaRunner(prof trace.Profile, cfg Config, mem *dram.Memory, llc *cache.Cache, sharedHier *cache.Hierarchy, shared *enigma.Enigma) (*enigmaRunner, error) {
-	r := &enigmaRunner{coreKit: newCoreKit(prof, cfg.Seed, cfg.Params, mem, llc, sharedHier)}
-	r.latFn = r.stepLatency
-	if shared != nil {
-		r.eng = shared
-	} else {
-		r.eng = enigma.New(cfg.Capacity)
-	}
-	for _, s := range prof.Structs {
+// initEnigma gives the core its own Enigma over capacity bytes, places
+// every structure in its intermediate address space and allocates the
+// pages of the live data.
+func (r *runner) initEnigma(capacity uint64) error {
+	r.stage = stageEnigma
+	r.eng = enigma.New(capacity)
+	for _, s := range r.prof.Structs {
 		base := r.eng.AllocRegion(s.Size)
 		r.bases = append(r.bases, base)
 		// Initialization pass: first touches allocate the 2 MB pages of
 		// the live data before the simulated region.
 		for ia := base; ia < base+s.WarmBytes(); ia += enigma.PageSize {
 			if _, err := r.eng.Translate(ia); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return r, nil
+	return nil
 }
 
-func (r *enigmaRunner) now() uint64 { return r.cpu.Now() }
-
-//vbi:hotpath
-func (r *enigmaRunner) step() error {
-	ref := r.gen.Next()
-	op := ref.Op
-	op.Addr = r.bases[ref.StructIdx] + ref.Offset
-	r.stepErr = nil
-	r.cpu.Step(op, r.latFn)
-	r.memRefs++
-	return r.stepErr
-}
-
-// stepLatency adapts access to cpu.LatencyFn, parking any access error in
-// stepErr for step to return. It is bound to latFn once at construction:
-// passing a method value per step would allocate a closure per reference.
+// ctcTranslate is Enigma's memory-side stage: a CTC lookup for the
+// intermediate address of an LLC miss issued at start, a flat-table walk
+// read on a CTC miss, and a page allocation on first touch.
 //
 //vbi:hotpath
-func (r *enigmaRunner) stepLatency(o cpu.Op, at uint64) uint64 {
-	lat, err := r.access(o, at)
-	if err != nil {
-		r.stepErr = err
-	}
-	return lat
-}
-
-func (r *enigmaRunner) access(op cpu.Op, at uint64) (uint64, error) {
-	ia := op.Addr
-	line := cache.LineOf(ia)
-	res := r.hier.Access(line, op.Write)
-	t := res.Latency
-	r.drainEnigmaWritebacks(res.Writebacks, at+t)
-	if !res.MissedLLC {
-		return t, nil
-	}
-
+func (r *runner) ctcTranslate(ia, start uint64) (pa, lat uint64, zero bool, err error) {
 	ev, err := r.eng.Translate(ia)
 	if err != nil {
-		return t, err
+		return 0, 0, false, err
 	}
-	lat := uint64(r.p.CTCLookupLat)
-	cur := at + t + lat
+	cur := start + uint64(r.p.CTCLookupLat)
 	if !ev.CTCHit {
 		r.c.ctcMisses++
 		cur = r.mem.Access(uint64(ev.WalkAccess), cur, false)
@@ -104,39 +46,21 @@ func (r *enigmaRunner) access(op cpu.Op, at uint64) (uint64, error) {
 		r.c.pageAllocs++
 		cur += uint64(r.p.MCAllocCost)
 	}
-	mcLat := cur - (at + t)
-	if mcLat > cache.DefaultLatencies.LLC {
-		t += mcLat - cache.DefaultLatencies.LLC
+	return uint64(ev.PA), cur - start, false, nil
+}
+
+// ctcWriteback translates a dirty intermediate-address line at the
+// controller and writes it to DRAM.
+//
+//vbi:hotpath
+func (r *runner) ctcWriteback(wb, at uint64) {
+	ev, err := r.eng.Translate(wb)
+	if err != nil {
+		return
 	}
-	done := r.mem.Access(uint64(ev.PA), at+t, false)
-	t = done - at
-	wbs := r.hier.Fill(line, op.Write)
-	r.drainEnigmaWritebacks(wbs, done)
-	return t, nil
-}
-
-func (r *enigmaRunner) drainEnigmaWritebacks(wbs []uint64, at uint64) {
-	for _, wb := range wbs {
-		ev, err := r.eng.Translate(wb)
-		if err != nil {
-			continue
-		}
-		cur := at
-		if !ev.CTCHit {
-			cur = r.mem.Access(uint64(ev.WalkAccess), cur, false)
-		}
-		r.mem.Access(uint64(ev.PA), cur, true)
+	cur := at
+	if !ev.CTCHit {
+		cur = r.mem.Access(uint64(ev.WalkAccess), cur, false)
 	}
-}
-
-func (r *enigmaRunner) beginMeasurement() {
-	r.coreKit.beginMeasurement()
-	r.s = r.c
-}
-
-func (r *enigmaRunner) result() RunResult {
-	res := r.baseResult(EnigmaHW2M.String())
-	res.Extra["ctc.misses"] = r.c.ctcMisses - r.s.ctcMisses
-	res.Extra["page.allocs"] = r.c.pageAllocs - r.s.pageAllocs
-	return res
+	r.mem.Access(uint64(ev.PA), cur, true)
 }

@@ -11,7 +11,6 @@ import (
 	"vbi/internal/mtl"
 	"vbi/internal/osmodel"
 	"vbi/internal/prop"
-	"vbi/internal/tlb"
 	"vbi/internal/trace"
 	"vbi/internal/workloads"
 )
@@ -131,7 +130,7 @@ const (
 // a pluggable placement policy.
 type HeteroMachine struct {
 	cfg    HeteroConfig
-	runner *vbiRunner
+	runner *runner
 	m      *mtl.MTL
 
 	fastBytes uint64
@@ -162,18 +161,8 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 	vbios := osmodel.NewVBIOS(sys)
 
 	llc := cache.New("LLC", hc.Params.LLCSize, hc.Params.LLCWays)
-	r := &vbiRunner{
-		coreKit: newCoreKit(prof, hc.Seed, hc.Params, mem, llc, nil),
-		kind:    VBI2,
-		sys:     sys,
-		vbios:   vbios,
-		chunk:   hc.ChunkSize,
-	}
-	r.latFn = r.stepLatency
-	r.nodeCache = tlb.New("MTLwalk", 1, r.p.PWCEntries)
-	r.vcore = core.NewCore(sys)
-	r.proc = vbios.CreateProcess()
-	r.vcore.SwitchClient(r.proc.Client)
+	r := newCore(VBI2, prof, hc.Seed, hc.Params, mem, llc, nil)
+	r.attachVBI(sys, vbios, hc.ChunkSize)
 
 	h := &HeteroMachine{
 		cfg:       hc,
@@ -203,7 +192,7 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 			if (ci+1)*hc.ChunkSize > s.Size {
 				size = s.Size - ci*hc.ChunkSize
 			}
-			idx, u, err := vbios.RequestVB(r.proc, size, workloads.PropsFor(s))
+			idx, u, err := vbios.RequestVB(r.vproc, size, workloads.PropsFor(s))
 			if err != nil {
 				return nil, err
 			}

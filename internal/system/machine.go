@@ -6,6 +6,7 @@ import (
 	"vbi/internal/cache"
 	"vbi/internal/cpu"
 	"vbi/internal/dram"
+	"vbi/internal/enigma"
 	"vbi/internal/stats"
 	"vbi/internal/trace"
 )
@@ -35,25 +36,11 @@ type RunResult struct {
 	Extra stats.Counters `json:"Extra"`
 }
 
-// coreRunner is one simulated hardware context; multicore runs interleave
-// several over shared structures.
-type coreRunner interface {
-	// step simulates one memory reference.
-	step() error
-	// now returns the core's current cycle (for time-ordered
-	// interleaving).
-	now() uint64
-	// beginMeasurement snapshots counters at the warmup boundary.
-	beginMeasurement()
-	// result finalizes the measured phase.
-	result() RunResult
-}
-
 // Machine is a runnable single-core system.
 type Machine struct {
 	name   string
 	cfg    Config
-	runner coreRunner
+	runner *runner
 }
 
 // Name returns the configuration name.
@@ -64,36 +51,74 @@ func (m *Machine) Name() string { return m.name }
 //vbi:hotpath
 func (m *Machine) Run() (RunResult, error) {
 	for i := 0; i < m.cfg.Warmup; i++ {
-		//vbi:allow hotalloc coreRunner dispatch is the one deliberate dynamic call per step; the runners themselves are devirtualized internally
 		if err := m.runner.step(); err != nil {
 			//vbi:allow hotalloc error path only; a failed step aborts the run
 			return RunResult{}, fmt.Errorf("%s warmup: %w", m.name, err)
 		}
 	}
-	//vbi:allow hotalloc once per run, outside the step loops
 	m.runner.beginMeasurement()
 	for i := 0; i < m.cfg.Refs; i++ {
-		//vbi:allow hotalloc coreRunner dispatch is the one deliberate dynamic call per step; the runners themselves are devirtualized internally
 		if err := m.runner.step(); err != nil {
 			//vbi:allow hotalloc error path only; a failed step aborts the run
 			return RunResult{}, fmt.Errorf("%s: %w", m.name, err)
 		}
 	}
-	//vbi:allow hotalloc once per run, outside the step loops
 	return m.runner.result(), nil
 }
 
-// coreKit bundles the per-core hardware every system shares: the timing
-// core, private caches and the reference generator.
-type coreKit struct {
+// stage is where a kind translates, the one decision that separates the
+// ten systems' access paths. access switches on it rather than calling
+// through an interface, so the whole pipeline stays statically dispatched.
+type stage uint8
+
+const (
+	// stagePhys translates before the caches, which hold physical lines
+	// (Native, Native-2M, Virtual, Virtual-2M, Perfect TLB).
+	stagePhys stage = iota
+	// stageVIVT indexes and tags the caches virtually and translates at
+	// the LLC boundary, overlapped with the LLC lookup.
+	stageVIVT
+	// stageEnigma caches intermediate addresses; the centralized
+	// translation cache translates at the memory controller (§7.2.2).
+	stageEnigma
+	// stageVBI checks the CVT before the caches, which hold VBI addresses;
+	// the MTL translates at the memory controller (§4.2.3).
+	stageVBI
+)
+
+// runner is one simulated hardware context: the timing core, private
+// caches and reference generator every system shares, plus the state of
+// its kind's translation stage. Multicore runs interleave several over a
+// shared LLC, memory and OS/MTL.
+type runner struct {
+	kind  Kind
+	stage stage
+
 	cpu  *cpu.Core
 	hier *cache.Hierarchy
 	gen  *trace.Generator
 	prof trace.Profile
 	mem  *dram.Memory
-	// p holds the fully resolved parameters (no zero fields) the runner's
-	// timing paths read.
+	// p holds the fully resolved parameters (no zero fields) the timing
+	// paths read.
 	p Params
+
+	// Translation-stage state: only the runner's own stage's is set.
+	// bases maps struct -> base address for every stage but VBI, which
+	// places each structure in its own VB.
+	bases []uint64
+	convStage
+	vbiStage
+	eng *enigma.Enigma
+
+	// latFn is the access callback handed to cpu.Step, bound once at
+	// construction so the per-reference loop never allocates a closure;
+	// stepErr carries the current step's access error out of it.
+	latFn   cpu.LatencyFn
+	stepErr error
+
+	c counters
+	s counters // snapshot at warmup boundary
 
 	// measurement snapshots
 	startCycles uint64
@@ -103,7 +128,29 @@ type coreKit struct {
 	dramStart   dram.Stats
 }
 
-func newCoreKit(prof trace.Profile, seed uint64, p Params, mem *dram.Memory, llc *cache.Cache, shared *cache.Hierarchy) *coreKit {
+// counters are the runner's event counts; each stage keeps its own subset.
+type counters struct {
+	// Conventional kinds; VBI reuses walkAccesses for MTL walk accesses
+	// and faults for OS swap faults.
+	tlbMisses    uint64
+	walks        uint64
+	walkAccesses uint64
+	faults       uint64
+	// VBI.
+	cvtMisses    uint64
+	translations uint64
+	mtlTLBMisses uint64
+	zeroLines    uint64
+	regionAllocs uint64
+	// Enigma.
+	ctcMisses  uint64
+	pageAllocs uint64
+}
+
+// newCore builds a runner's stage-independent hardware: private L1/L2
+// over llc, or over the LLC of shared when another core built it first.
+// The caller then sets up the kind's translation stage.
+func newCore(kind Kind, prof trace.Profile, seed uint64, p Params, mem *dram.Memory, llc *cache.Cache, shared *cache.Hierarchy) *runner {
 	p = p.withDefaults()
 	l1 := cache.New("L1", p.L1Size, p.L1Ways)
 	l2 := cache.New("L2", p.L2Size, p.L2Ways)
@@ -113,7 +160,8 @@ func newCoreKit(prof trace.Profile, seed uint64, p Params, mem *dram.Memory, llc
 	} else {
 		hier = cache.NewHierarchy(l1, l2, llc, cache.DefaultLatencies)
 	}
-	return &coreKit{
+	r := &runner{
+		kind: kind,
 		cpu:  cpu.New(cpu.DefaultParams),
 		hier: hier,
 		gen:  trace.NewGenerator(prof, seed),
@@ -121,53 +169,182 @@ func newCoreKit(prof trace.Profile, seed uint64, p Params, mem *dram.Memory, llc
 		mem:  mem,
 		p:    p,
 	}
+	r.latFn = r.stepLatency
+	return r
 }
 
-func (k *coreKit) beginMeasurement() {
-	k.startCycles = k.cpu.Finish()
-	k.startInstrs = k.cpu.Instrs()
-	k.startRefs = k.memRefs
-	k.dramStart = k.mem.TotalStats()
+// step simulates one memory reference.
+//
+//vbi:hotpath
+func (r *runner) step() error {
+	ref := r.gen.Next()
+	op := ref.Op
+	if r.stage == stageVBI {
+		op.Addr = packVAddr(r.chunkIdx[ref.StructIdx][ref.Offset/r.chunk], ref.Offset%r.chunk)
+	} else {
+		op.Addr = r.bases[ref.StructIdx] + ref.Offset
+	}
+	r.stepErr = nil
+	r.cpu.Step(op, r.latFn)
+	r.memRefs++
+	return r.stepErr
 }
 
-func (k *coreKit) baseResult(system string) RunResult {
-	cycles := k.cpu.Finish() - k.startCycles
-	instrs := k.cpu.Instrs() - k.startInstrs
-	d := k.mem.TotalStats()
+// stepLatency adapts access to cpu.LatencyFn, parking any access error in
+// stepErr for step to return. It is bound to latFn once at construction:
+// passing a method value per step would allocate a closure per reference.
+//
+//vbi:hotpath
+func (r *runner) stepLatency(o cpu.Op, at uint64) uint64 {
+	lat, err := r.access(o, at)
+	if err != nil {
+		r.stepErr = err
+	}
+	return lat
+}
+
+// access computes the latency of one memory operation issued at `at`:
+// the stage's front end, the cache hierarchy, and on an LLC miss the
+// stage's memory-side translation, then DRAM and the fill.
+//
+//vbi:hotpath
+func (r *runner) access(op cpu.Op, at uint64) (uint64, error) {
+	// Front end: the address the caches see, and the cycles spent
+	// producing it.
+	a := op.Addr
+	var t uint64
+	switch r.stage {
+	case stagePhys:
+		lat, pa, err := r.translate(a, at)
+		if err != nil {
+			return 0, err
+		}
+		a, t = uint64(pa), lat
+	case stageVBI:
+		vbi, lat, err := r.cvtAccess(op, at)
+		if err != nil {
+			return 0, err
+		}
+		a, t = vbi, lat
+	}
+
+	line := cache.LineOf(a)
+	res := r.hier.Access(line, op.Write)
+	t += res.Latency
+	r.drainWritebacks(res.Writebacks, at+t)
+	if !res.MissedLLC {
+		return t, nil
+	}
+
+	// LLC miss: memory-side translation runs in parallel with the LLC
+	// lookup, so only latency beyond the LLC stage is exposed.
+	pa, mc, zero, err := r.memTranslate(a, at+t)
+	if err != nil {
+		return t, err
+	}
+	if mc > cache.DefaultLatencies.LLC {
+		t += mc - cache.DefaultLatencies.LLC
+	}
+	var done uint64
+	if zero {
+		// Zero line straight from the memory controller: no DRAM access
+		// (§5.1). The line is installed in the caches like any fill.
+		done = at + t + dram.ControllerOverhead
+	} else {
+		done = r.mem.Access(pa, at+t, false)
+	}
+	t = done - at
+	r.drainWritebacks(r.hier.Fill(line, op.Write), done)
+	return t, nil
+}
+
+// memTranslate is the stage's translation at the memory controller for
+// cache address a, which missed the LLC at `at`. It returns the DRAM
+// address, the controller latency, and whether the line reads as zeros.
+// stagePhys translated before the caches, so a is already physical.
+//
+//vbi:hotpath
+func (r *runner) memTranslate(a, at uint64) (pa, lat uint64, zero bool, err error) {
+	switch r.stage {
+	case stageVIVT:
+		lat, p, err := r.translate(a, at)
+		return uint64(p), lat, false, err
+	case stageEnigma:
+		return r.ctcTranslate(a, at)
+	case stageVBI:
+		return r.mtlTranslate(a, at)
+	}
+	return a, 0, false, nil
+}
+
+// drainWritebacks schedules the dirty victims of an access or fill at
+// `at` (off the critical path, but occupying banks), translating each
+// victim's cache address to its DRAM target as the stage requires.
+//
+//vbi:hotpath
+func (r *runner) drainWritebacks(wbs []uint64, at uint64) {
+	for _, wb := range wbs {
+		switch r.stage {
+		case stagePhys:
+			r.mem.Access(wb, at, true)
+		case stageVIVT:
+			// Virtual caches tag lines virtually; a victim whose page
+			// has no mapping is dropped.
+			if pa, ok := r.lookup(wb); ok {
+				r.mem.Access(uint64(pa), at, true)
+			}
+		case stageEnigma:
+			r.ctcWriteback(wb, at)
+		case stageVBI:
+			r.mtlWriteback(wb, at)
+		}
+	}
+}
+
+// beginMeasurement snapshots counters at the warmup boundary.
+func (r *runner) beginMeasurement() {
+	r.startCycles = r.cpu.Finish()
+	r.startInstrs = r.cpu.Instrs()
+	r.startRefs = r.memRefs
+	r.dramStart = r.mem.TotalStats()
+	r.s = r.c
+}
+
+// result finalizes the measured phase.
+func (r *runner) result() RunResult {
+	cycles := r.cpu.Finish() - r.startCycles
+	instrs := r.cpu.Instrs() - r.startInstrs
+	d := r.mem.TotalStats()
 	res := RunResult{
-		System:       system,
-		Workload:     k.prof.Name,
+		System:       r.kind.String(),
+		Workload:     r.prof.Name,
 		Cycles:       cycles,
 		Instrs:       instrs,
-		MemRefs:      k.memRefs - k.startRefs,
-		DRAMAccesses: d.Reads + d.Writes - k.dramStart.Reads - k.dramStart.Writes,
+		MemRefs:      r.memRefs - r.startRefs,
+		DRAMAccesses: d.Reads + d.Writes - r.dramStart.Reads - r.dramStart.Writes,
 		Extra:        stats.Counters{},
 	}
 	if cycles > 0 {
 		res.IPC = float64(instrs) / float64(cycles)
 	}
-	return res
-}
-
-// fillAndDrain installs a line fetched from memory and schedules the dirty
-// writebacks the fills displaced (off the critical path, but occupying
-// banks). Physical-cache systems pass the physical line; virtual-cache
-// systems pass the virtual line plus a translator for writeback targets.
-func (k *coreKit) fillAndDrain(line uint64, write bool, at uint64, wbTarget func(uint64) (uint64, bool)) {
-	wbs := k.hier.Fill(line, write)
-	k.drainWritebacks(wbs, at, wbTarget)
-}
-
-func (k *coreKit) drainWritebacks(wbs []uint64, at uint64, wbTarget func(uint64) (uint64, bool)) {
-	for _, wb := range wbs {
-		pa := wb
-		if wbTarget != nil {
-			t, ok := wbTarget(wb)
-			if !ok {
-				continue
-			}
-			pa = t
-		}
-		k.mem.Access(pa, at, true)
+	c, s, e := &r.c, &r.s, res.Extra
+	switch r.stage {
+	case stageVBI:
+		e["cvt.misses"] = c.cvtMisses - s.cvtMisses
+		e["mtl.translations"] = c.translations - s.translations
+		e["mtl.tlb.misses"] = c.mtlTLBMisses - s.mtlTLBMisses
+		e["mtl.walk.accesses"] = c.walkAccesses - s.walkAccesses
+		e["mtl.zero.lines"] = c.zeroLines - s.zeroLines
+		e["mtl.region.allocs"] = c.regionAllocs - s.regionAllocs
+		e["os.faults"] = c.faults - s.faults
+	case stageEnigma:
+		e["ctc.misses"] = c.ctcMisses - s.ctcMisses
+		e["page.allocs"] = c.pageAllocs - s.pageAllocs
+	default:
+		e["tlb.misses"] = c.tlbMisses - s.tlbMisses
+		e["walks"] = c.walks - s.walks
+		e["walk.accesses"] = c.walkAccesses - s.walkAccesses
+		e["os.faults"] = c.faults - s.faults
 	}
+	return res
 }

@@ -12,7 +12,7 @@ import (
 // shared LLC, shared main memory, and a shared OS/hypervisor/MTL (§7.2.3).
 type Multicore struct {
 	cfg     Config
-	runners []coreRunner
+	runners []*runner
 	names   []string
 }
 
@@ -30,12 +30,9 @@ func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
 	ss := &sharedState{}
 
 	m := &Multicore{cfg: cfg}
-	var rootHier *cache.Hierarchy
+	// Core 0 builds the hierarchy; each later core shares its LLC.
+	var hier *cache.Hierarchy
 	for i, prof := range profs {
-		var hier *cache.Hierarchy
-		if i > 0 {
-			hier = rootHier
-		}
 		// Distinct seeds decorrelate the streams of duplicate benchmarks
 		// within a bundle.
 		coreCfg := cfg
@@ -44,26 +41,11 @@ func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core %d (%s): %w", i, prof.Name, err)
 		}
-		if i == 0 {
-			rootHier = hierOf(r)
-		}
+		hier = r.hier
 		m.runners = append(m.runners, r)
 		m.names = append(m.names, prof.Name)
 	}
 	return m, nil
-}
-
-// hierOf extracts the hierarchy from a runner (all runners embed coreKit).
-func hierOf(r coreRunner) *cache.Hierarchy {
-	switch v := r.(type) {
-	case *convRunner:
-		return v.hier
-	case *vbiRunner:
-		return v.hier
-	case *enigmaRunner:
-		return v.hier
-	}
-	return nil
 }
 
 // Run interleaves the cores in time order (the core with the smallest
@@ -83,8 +65,8 @@ func (m *Multicore) Run() ([]RunResult, error) {
 			if steps[i] >= target {
 				continue
 			}
-			if best == -1 || r.now() < bestNow {
-				best, bestNow = i, r.now()
+			if now := r.cpu.Now(); best == -1 || now < bestNow {
+				best, bestNow = i, now
 			}
 		}
 		r := m.runners[best]

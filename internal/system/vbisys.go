@@ -2,19 +2,16 @@ package system
 
 import (
 	"vbi/internal/addr"
-	"vbi/internal/cache"
 	"vbi/internal/core"
 	"vbi/internal/cpu"
-	"vbi/internal/dram"
 	"vbi/internal/mtl"
 	"vbi/internal/osmodel"
 	"vbi/internal/phys"
 	"vbi/internal/tlb"
-	"vbi/internal/trace"
 	"vbi/internal/workloads"
 )
 
-// vbiRunner simulates the three VBI variants (§7.2):
+// vbiStage is the translation state of the three VBI variants (§7.2):
 //
 //	VBI-1:    inherently virtual caches + flexible translation structures
 //	          mapping VBs at 4 KB granularity;
@@ -27,22 +24,17 @@ import (
 // with the LLC lookup (§4.2.3). Dirty LLC evictions are translated (and,
 // under delayed allocation, trigger the physical allocation) on their way
 // to DRAM.
-type vbiRunner struct {
-	*coreKit
-	kind Kind
-
+type vbiStage struct {
 	sys   *core.System
 	vbios *osmodel.VBIOS
 	vcore *core.Core
-	proc  *osmodel.VBIProcess
+	vproc *osmodel.VBIProcess
 
-	// indices maps struct -> CVT index; perms the access right to demand.
-	indices []int
-
-	// Heterogeneous-memory runs segment large structures into chunk-sized
-	// VBs (the allocator-level segmentation of §7.3 workloads); chunk == 0
-	// means one VB per structure. chunkIdx maps struct -> chunk -> CVT
-	// index.
+	// Structures are segmented into chunk-sized VBs; chunkIdx maps
+	// struct -> chunk -> CVT index. Heterogeneous-memory runs chunk large
+	// structures for placement (the allocator-level segmentation of §7.3
+	// workloads); every other run maps each structure to one VB, as one
+	// chunk of the largest size class.
 	chunk    uint64
 	chunkIdx [][]int
 
@@ -56,33 +48,6 @@ type vbiRunner struct {
 	// across systems). Upper-level node reads hit it; the final (leaf)
 	// entry read always goes to memory, as in a PWC-accelerated walk.
 	nodeCache *tlb.TLB
-
-	// latFn is the access callback handed to cpu.Step, bound once at
-	// construction so the per-reference loop never allocates a closure;
-	// stepErr carries the current step's access error out of it.
-	latFn   cpu.LatencyFn
-	stepErr error
-
-	c vbiCounters
-	s vbiCounters
-}
-
-type vbiCounters struct {
-	cvtMisses     uint64
-	translations  uint64
-	mtlTLBMisses  uint64
-	walkAccesses  uint64
-	zeroLines     uint64
-	regionAllocs  uint64
-	osFaults      uint64
-	wbTranslation uint64
-}
-
-// vbiShared carries the structures quad-core runs share: the MTL, the
-// architectural system and the OS.
-type vbiShared struct {
-	sys   *core.System
-	vbios *osmodel.VBIOS
 }
 
 func mtlConfigFor(kind Kind) mtl.Config {
@@ -96,54 +61,53 @@ func mtlConfigFor(kind Kind) mtl.Config {
 	}
 }
 
-func newVBIRunner(kind Kind, prof trace.Profile, cfg Config, mem *dram.Memory, llc *cache.Cache, sharedHier *cache.Hierarchy, share *vbiShared) (*vbiRunner, error) {
-	r := &vbiRunner{
-		coreKit: newCoreKit(prof, cfg.Seed, cfg.Params, mem, llc, sharedHier),
-		kind:    kind,
-	}
-	r.latFn = r.stepLatency
-	r.nodeCache = tlb.New("MTLwalk", 1, r.p.PWCEntries)
-	if share != nil && share.sys != nil {
-		r.sys, r.vbios = share.sys, share.vbios
-	} else {
-		mc := mtlConfigFor(kind)
+// initVBI sets up a VBI kind over the machine's MTL and OS, building them
+// if this is the first core, with one VB per structure.
+func (r *runner) initVBI(cfg Config, ss *sharedState) error {
+	if ss.sys == nil {
+		mc := mtlConfigFor(r.kind)
 		mc.UniformTables = cfg.UniformTables
 		m := mtl.New(mc, mtl.NewZones(
 			map[string]uint64{"DRAM": cfg.Capacity}, []string{"DRAM"}))
-		r.sys = core.NewSystem(m)
-		r.vbios = osmodel.NewVBIOS(r.sys)
-		if share != nil {
-			share.sys, share.vbios = r.sys, r.vbios
+		ss.sys = core.NewSystem(m)
+		ss.vbios = osmodel.NewVBIOS(ss.sys)
+	}
+	r.attachVBI(ss.sys, ss.vbios, addr.Size128TB.Bytes())
+	for _, s := range r.prof.Structs {
+		idx, u, err := r.vbios.RequestVB(r.vproc, s.Size, workloads.PropsFor(s))
+		if err != nil {
+			return err
+		}
+		r.chunkIdx = append(r.chunkIdx, []int{idx})
+		// Initialization pass: startup writes allocate the live data, so
+		// the simulated region's zero lines come only from the genuinely
+		// never-written cold tails (§5.1).
+		if err := r.sys.MTL.Prefill(u, s.WarmBytes()); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// attachVBI makes r a VBI core of sys under vbios: its CVT-caching core,
+// a fresh process, and the MTL walk cache. The caller requests the VBs,
+// in chunks of the given size.
+func (r *runner) attachVBI(sys *core.System, vbios *osmodel.VBIOS, chunk uint64) {
+	r.stage = stageVBI
+	r.sys, r.vbios, r.chunk = sys, vbios, chunk
+	r.nodeCache = tlb.New("MTLwalk", 1, r.p.PWCEntries)
 	// Lazy cache cleanup (§4.2.4): stale lines of a disabled VB are
 	// invalidated before its VBUID is recycled.
-	r.vbios.OnDisable = func(u addr.VBUID) {
+	vbios.OnDisable = func(u addr.VBUID) {
 		base, size := uint64(u.Base()), u.Size()
 		r.hier.InvalidateIf(func(line uint64) bool {
 			return line >= base && line-base < size
 		})
 	}
-	r.vcore = core.NewCore(r.sys)
-	r.proc = r.vbios.CreateProcess()
-	r.vcore.SwitchClient(r.proc.Client)
-	for _, s := range prof.Structs {
-		idx, u, err := r.vbios.RequestVB(r.proc, s.Size, workloads.PropsFor(s))
-		if err != nil {
-			return nil, err
-		}
-		r.indices = append(r.indices, idx)
-		// Initialization pass: startup writes allocate the live data, so
-		// the simulated region's zero lines come only from the genuinely
-		// never-written cold tails (§5.1).
-		if err := r.sys.MTL.Prefill(u, s.WarmBytes()); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	r.vcore = core.NewCore(sys)
+	r.vproc = vbios.CreateProcess()
+	r.vcore.SwitchClient(r.vproc.Client)
 }
-
-func (r *vbiRunner) now() uint64 { return r.cpu.Now() }
 
 // packVAddr fits {CVT index, offset} into cpu.Op.Addr: offsets never exceed
 // 2^47 (the largest size class), leaving the top bits for the index.
@@ -155,43 +119,20 @@ func unpackVAddr(a uint64) core.VAddr {
 	return core.VAddr{Index: int(a >> 48), Offset: a & (1<<48 - 1)}
 }
 
-//vbi:hotpath
-func (r *vbiRunner) step() error {
-	ref := r.gen.Next()
-	op := ref.Op
-	if r.chunk > 0 {
-		ci := ref.Offset / r.chunk
-		op.Addr = packVAddr(r.chunkIdx[ref.StructIdx][ci], ref.Offset%r.chunk)
-	} else {
-		op.Addr = packVAddr(r.indices[ref.StructIdx], ref.Offset)
-	}
-	r.stepErr = nil
-	r.cpu.Step(op, r.latFn)
-	r.memRefs++
-	return r.stepErr
-}
-
-// stepLatency adapts access to cpu.LatencyFn, parking any access error in
-// stepErr for step to return. It is bound to latFn once at construction:
-// passing a method value per step would allocate a closure per reference.
+// cvtAccess is VBI's front end: the CVT permission check, a bounded slice
+// of pending migration traffic, and on a CVT-cache miss the CVT entry
+// fetch through the memory hierarchy (§4.1.2). It returns the VBI address
+// the caches index and the cycles spent.
 //
 //vbi:hotpath
-func (r *vbiRunner) stepLatency(o cpu.Op, at uint64) uint64 {
-	lat, err := r.access(o, at)
-	if err != nil {
-		r.stepErr = err
-	}
-	return lat
-}
-
-func (r *vbiRunner) access(op cpu.Op, at uint64) (uint64, error) {
+func (r *runner) cvtAccess(op cpu.Op, at uint64) (uint64, uint64, error) {
 	want := core.PermR
 	if op.Write {
 		want = core.PermW
 	}
 	ev, err := r.vcore.Access(unpackVAddr(op.Addr), want)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	var t uint64
 	if r.pendingPenalty > 0 {
@@ -205,7 +146,6 @@ func (r *vbiRunner) access(op cpu.Op, at uint64) (uint64, error) {
 		r.pendingPenalty -= drain
 	}
 	if !ev.CVTCacheHit {
-		// Fetch the CVT entry through the memory hierarchy (§4.1.2).
 		r.c.cvtMisses++
 		lat, missed, wbs := r.hier.WalkerAccess(uint64(ev.CVTMemAccess))
 		t += lat
@@ -213,49 +153,30 @@ func (r *vbiRunner) access(op cpu.Op, at uint64) (uint64, error) {
 			done := r.mem.Access(uint64(ev.CVTMemAccess), at+t, false)
 			t = done - at
 		}
-		r.drainVBIWritebacks(wbs, at+t)
+		r.drainWritebacks(wbs, at+t)
 	}
+	return uint64(ev.VBI), t, nil
+}
 
-	line := cache.LineOf(uint64(ev.VBI))
-	res := r.hier.Access(line, op.Write)
-	t += res.Latency
-	r.drainVBIWritebacks(res.Writebacks, at+t)
-	if !res.MissedLLC {
-		return t, nil
-	}
-
-	// LLC miss: the MTL translates in parallel with the LLC lookup
-	// (§4.2.3), so only latency beyond the LLC stage is exposed.
-	mtlEv, err := r.sys.MTL.TranslateRead(ev.VBI)
+// mtlTranslate is VBI's memory-side stage: the MTL translates the VBI
+// address of an LLC miss issued at start.
+//
+//vbi:hotpath
+func (r *runner) mtlTranslate(a, start uint64) (pa, lat uint64, zero bool, err error) {
+	ev, err := r.sys.MTL.TranslateRead(addr.Addr(a))
 	if err != nil {
-		return t, err
+		return 0, 0, false, err
 	}
-	mtlLat, err := r.chargeMTL(mtlEv, at+t)
-	if err != nil {
-		return t, err
-	}
-	if mtlLat > cache.DefaultLatencies.LLC {
-		t += mtlLat - cache.DefaultLatencies.LLC
-	}
-
-	if mtlEv.ZeroLine {
-		// Zero line straight from the memory controller: no DRAM access
-		// (§5.1). The line is installed in the caches like any fill.
-		t += dram.ControllerOverhead
-		r.fillVBI(line, op.Write, at+t)
-		return t, nil
-	}
-	done := r.mem.Access(uint64(mtlEv.Phys), at+t, false)
-	t = done - at
-	r.fillVBI(line, op.Write, done)
-	return t, nil
+	return uint64(ev.Phys), r.chargeMTL(ev, start), ev.ZeroLine, nil
 }
 
 // chargeMTL converts an MTL event into memory-controller latency, issuing
 // its VIT and translation-structure reads to DRAM serially (the MTL sits
 // at the controller; its table reads do not traverse the on-chip caches,
 // but upper-level nodes hit the MC-side walk cache).
-func (r *vbiRunner) chargeMTL(ev mtl.Event, start uint64) (uint64, error) {
+//
+//vbi:hotpath
+func (r *runner) chargeMTL(ev mtl.Event, start uint64) uint64 {
 	r.c.translations++
 	cur := start + uint64(r.p.MTLLookupMin)
 	if !ev.TLBL1Hit {
@@ -273,20 +194,22 @@ func (r *vbiRunner) chargeMTL(ev mtl.Event, start uint64) (uint64, error) {
 		cur += uint64(r.p.MCAllocCost)
 	}
 	if ev.OSFault {
-		r.c.osFaults++
+		r.c.faults++
 		cur += uint64(r.p.SwapFaultCost)
 	}
 	if ev.ZeroLine {
 		r.c.zeroLines++
 	}
-	return cur - start, nil
+	return cur - start
 }
 
 // chargeWalk issues a translation-structure walk: upper-level node reads
 // consult the MTL walk cache (node-pointer granularity, like the baseline
 // PWC); the final entry read always goes to memory. Returns the completion
 // time.
-func (r *vbiRunner) chargeWalk(accesses []phys.Addr, at uint64) uint64 {
+//
+//vbi:hotpath
+func (r *runner) chargeWalk(accesses []phys.Addr, at uint64) uint64 {
 	cur := at
 	for i, a := range accesses {
 		r.c.walkAccesses++
@@ -303,48 +226,22 @@ func (r *vbiRunner) chargeWalk(accesses []phys.Addr, at uint64) uint64 {
 	return cur
 }
 
-// fillVBI installs a fetched line and drains any dirty VBI-addressed
-// writebacks through the MTL.
-func (r *vbiRunner) fillVBI(line uint64, write bool, at uint64) {
-	wbs := r.hier.Fill(line, write)
-	r.drainVBIWritebacks(wbs, at)
-}
-
-// drainVBIWritebacks translates dirty VBI lines at the controller and
-// writes them to DRAM. Under delayed allocation this is the allocation
-// trigger (§5.1). Off the critical path, but the bank traffic is real.
-func (r *vbiRunner) drainVBIWritebacks(wbs []uint64, at uint64) {
-	for _, wb := range wbs {
-		ev, err := r.sys.MTL.TranslateWriteback(addr.Addr(wb))
-		if err != nil {
-			continue // VB disabled mid-flight; drop the line
-		}
-		r.c.wbTranslation++
-		cur := at
-		if ev.VITAccess != phys.NoAddr {
-			cur = r.mem.Access(uint64(ev.VITAccess), cur, false)
-		}
-		cur = r.chargeWalk(ev.WalkAccesses, cur)
-		if ev.AllocatedRegion {
-			r.c.regionAllocs++
-		}
-		r.mem.Access(uint64(ev.Phys), cur, true)
+// mtlWriteback translates a dirty VBI line at the controller and writes it
+// to DRAM. Under delayed allocation this is the allocation trigger (§5.1).
+//
+//vbi:hotpath
+func (r *runner) mtlWriteback(wb, at uint64) {
+	ev, err := r.sys.MTL.TranslateWriteback(addr.Addr(wb))
+	if err != nil {
+		return // VB disabled mid-flight; drop the line
 	}
-}
-
-func (r *vbiRunner) beginMeasurement() {
-	r.coreKit.beginMeasurement()
-	r.s = r.c
-}
-
-func (r *vbiRunner) result() RunResult {
-	res := r.baseResult(r.kind.String())
-	res.Extra["cvt.misses"] = r.c.cvtMisses - r.s.cvtMisses
-	res.Extra["mtl.translations"] = r.c.translations - r.s.translations
-	res.Extra["mtl.tlb.misses"] = r.c.mtlTLBMisses - r.s.mtlTLBMisses
-	res.Extra["mtl.walk.accesses"] = r.c.walkAccesses - r.s.walkAccesses
-	res.Extra["mtl.zero.lines"] = r.c.zeroLines - r.s.zeroLines
-	res.Extra["mtl.region.allocs"] = r.c.regionAllocs - r.s.regionAllocs
-	res.Extra["os.faults"] = r.c.osFaults - r.s.osFaults
-	return res
+	cur := at
+	if ev.VITAccess != phys.NoAddr {
+		cur = r.mem.Access(uint64(ev.VITAccess), cur, false)
+	}
+	cur = r.chargeWalk(ev.WalkAccesses, cur)
+	if ev.AllocatedRegion {
+		r.c.regionAllocs++
+	}
+	r.mem.Access(uint64(ev.Phys), cur, true)
 }
