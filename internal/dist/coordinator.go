@@ -30,15 +30,17 @@ import (
 // failure or missed heartbeats — has its in-flight shards requeued for
 // the survivors.
 //
-// Scheduling is work-pulling: the batch is cut into fixed-size shards of
-// job indices, and each live member repeatedly pulls up to its advertised
-// worker count of shards per request, so faster and wider workers
-// naturally take more of the batch. A member that fails Retries
-// consecutive times is dropped (and, for dynamic members, quarantined in
-// the registry). Results merge positionally and completed shards stream
-// into Cache as they arrive, so the output is byte-identical to a serial
-// local run regardless of membership history, and an aborted sweep
-// resumes incrementally.
+// Each Run submits its batch to a Scheduler (the one the sweep daemon
+// also runs): the batch is cut into fixed-size shards of job indices, and
+// each live member repeatedly pulls up to its advertised worker count of
+// shards per request, so faster and wider workers naturally take more of
+// the batch. A member that fails Retries consecutive times is dropped
+// (and, for dynamic members, quarantined in the registry). Results merge
+// positionally and completed shards stream into Cache as they arrive, so
+// the output is byte-identical to a serial local run regardless of
+// membership history, and an aborted sweep resumes incrementally.
+//
+// The fields also configure a Scheduler built with NewScheduler.
 type Coordinator struct {
 	// Endpoints lists workers as "host:port" (or full base URLs), known up
 	// front. With no Endpoints and no Fleet, the batch runs on Local (or a
@@ -73,27 +75,16 @@ type Coordinator struct {
 	// Progress, when non-nil, receives shard-level progress lines.
 	Progress io.Writer
 	// Logger, when non-nil, receives structured shard-lifecycle records
-	// (dispatch, completion, failure). Each Run mints a root trace ID and
-	// numbers its shards ("<root>/<seq>"); the chain is sent to workers in
-	// the obs.TraceHeader header and attached to every record here, so one
-	// grep follows a shard through both processes' logs.
+	// (dispatch, completion, failure). Each Scheduler (one per Run) mints
+	// a root trace ID and numbers its shards ("<root>/<seq>"); the chain
+	// is sent to workers in the obs.TraceHeader header and attached to
+	// every record here, so one grep follows a shard through both
+	// processes' logs.
 	Logger *slog.Logger
 	// Client, when non-nil, overrides the HTTP client (tests).
 	Client *http.Client
 
 	mu sync.Mutex // guards Progress
-}
-
-// traceSeq numbers one Run's shard dispatches under its root trace ID.
-// Per-run (not per-Coordinator) state, so a reused Coordinator value
-// keeps runs' chains distinct.
-type traceSeq struct {
-	root string
-	seq  atomic.Int64
-}
-
-func (t *traceSeq) next() string {
-	return obs.ChildID(t.root, t.seq.Add(1))
 }
 
 func (c *Coordinator) log() *slog.Logger {
@@ -170,40 +161,13 @@ func baseURL(ep string) string {
 	return "http://" + ep
 }
 
-// shardQueue holds unassigned shards (slices of job indices). Members
-// pull from it and push failed shards back; order is irrelevant because
-// the merge is positional.
-type shardQueue struct {
-	mu     sync.Mutex
-	shards [][]int
-}
-
-func (q *shardQueue) push(shards ...[]int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.shards = append(q.shards, shards...)
-}
-
-// popUpTo removes and returns at most n shards.
-func (q *shardQueue) popUpTo(n int) [][]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if n > len(q.shards) {
-		n = len(q.shards)
-	}
-	out := make([][]int, n)
-	copy(out, q.shards[:n])
-	q.shards = q.shards[n:]
-	return out
-}
-
 // Run implements harness.Executor. With no endpoints and no fleet it
 // delegates to the local runner; otherwise it validates, serves what it
 // can from Cache, handshakes the static endpoints, and dispatches the
-// remaining jobs as shards across the (possibly churning) membership.
-// The first fatal condition (version mismatch, a static-only fleet fully
-// dead, context cancelled) aborts the batch; already-completed shards
-// remain in Cache.
+// remaining jobs as one batch across the (possibly churning) membership.
+// A version mismatch at handshake, a shard refused by the fleet
+// maxShardAttempts times, a static-only fleet fully dead or a cancelled
+// context aborts the batch; already-completed shards remain in Cache.
 func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Result, error) {
 	if len(c.Endpoints) == 0 && c.Fleet == nil {
 		r := c.Local
@@ -260,166 +224,57 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		reg.Add(h.base, h.workers, true, "")
 	}
 
-	q := &shardQueue{}
-	size := c.shardSize()
-	nshards := 0
-	for lo := 0; lo < len(miss); lo += size {
-		hi := lo + size
-		if hi > len(miss) {
-			hi = len(miss)
-		}
-		q.push(miss[lo:hi])
-		nshards++
-	}
-	ts := &traceSeq{root: obs.NewTraceID()}
+	s := c.NewScheduler(reg)
+	nshards := (len(miss) + c.shardSize() - 1) / c.shardSize()
 	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
-	c.log().Info("batch start", "trace", ts.root, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
+	c.log().Info("batch start", "trace", s.trace, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		remaining atomic.Int64
-		fatalMu   sync.Mutex
-		fatalErr  error
-		doneOnce  sync.Once
-	)
-	done := make(chan struct{})
-	remaining.Store(int64(len(miss)))
-	fail := func(err error) {
-		fatalMu.Lock()
-		if fatalErr == nil {
-			fatalErr = err
-		}
-		fatalMu.Unlock()
-		cancel()
-	}
-	merged := func(n int64) {
-		if remaining.Add(-n) == 0 {
-			doneOnce.Do(func() { close(done) })
+	finished := make(chan error, 1)
+	finish := func(err error) {
+		select {
+		case finished <- err:
+		default:
 		}
 	}
-
-	c.schedule(runCtx, reg, q, ts, jobs, results, &remaining, merged, done, fail)
-
-	fatalMu.Lock()
-	err = fatalErr
-	fatalMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if n := remaining.Load(); n != 0 {
-		return nil, fmt.Errorf("dist: %d jobs left unexecuted", n)
-	}
-	return results, nil
-}
-
-// memberLoop tracks one member's running serve goroutine.
-type memberLoop struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// schedule runs serve loops for the registry's live members until every
-// missing job has merged, a fatal error occurs, or ctx is cancelled.
-// Membership is re-polled every PollInterval: a joined member gets a
-// serve loop immediately, an evicted or quarantined member has its loop
-// cancelled (in-flight shards requeue through the normal failure path),
-// and a static-only fleet running dry fails the batch.
-func (c *Coordinator) schedule(ctx context.Context, reg *Registry, q *shardQueue, ts *traceSeq,
-	jobs []harness.Job, results []harness.Result,
-	remaining *atomic.Int64, merged func(int64), done <-chan struct{}, fail func(error)) {
-
-	active := map[string]*memberLoop{}
-	var (
-		errMu   sync.Mutex
-		lastErr error
-	)
-	recordErr := func(err error) {
-		errMu.Lock()
-		lastErr = err
-		errMu.Unlock()
-	}
-
-	stopAll := func() {
-		//vbi:allow maporder cancel is idempotent per loop; order immaterial, results merge positionally
-		for _, l := range active {
-			l.cancel()
-		}
-		//vbi:allow maporder joins every loop; completion set, not order, is what matters
-		for _, l := range active {
-			<-l.done
-		}
-	}
-
-	ticker := time.NewTicker(c.pollInterval())
-	defer ticker.Stop()
-	waiting := false
-	for {
-		// Reap exited loops so a rejoined member can be re-served.
-		//vbi:allow maporder per-member reap; each entry is tested and deleted independently
-		for id, l := range active {
-			select {
-			case <-l.done:
-				delete(active, id)
-			default:
-			}
-		}
-		live := reg.Live()
-		alive := map[string]bool{}
-		for _, m := range live {
-			alive[m.ID] = true
-		}
-		// Cancel loops whose member was evicted (missed heartbeats) or
-		// quarantined: a dead worker's loop must not sit on the queue.
-		//vbi:allow maporder per-member cancel; entries are independent and cancel is idempotent
-		for id, l := range active {
-			if !alive[id] {
-				l.cancel()
-			}
-		}
-		for _, m := range live {
-			if _, ok := active[m.ID]; ok {
-				continue
-			}
-			mctx, mcancel := context.WithCancel(ctx)
-			l := &memberLoop{cancel: mcancel, done: make(chan struct{})}
-			active[m.ID] = l
-			go func(m Member) {
-				defer close(l.done)
-				defer mcancel()
-				c.serve(mctx, m, reg, q, ts, jobs, results, remaining, merged, fail, recordErr)
-			}(m)
-		}
-		if len(active) == 0 && remaining.Load() > 0 {
-			if !reg.Dynamic() {
-				errMu.Lock()
-				err := lastErr
-				errMu.Unlock()
-				if err == nil {
-					err = fmt.Errorf("dist: no live workers")
-				}
-				fail(fmt.Errorf("dist: every worker failed: %w", err))
+	var left atomic.Int64
+	left.Store(int64(len(miss)))
+	s.Submit(jobs, miss, func(idx int, jr JobResult) {
+		// Timing rides beside the results into the merged matrix; the
+		// cache stores only jr.Results, so cached bytes stay identical
+		// to a serial local run.
+		results[idx] = harness.Result{Job: jobs[idx], Results: jr.Results, Cached: jr.Cached, Timing: jr.Timing}
+		if c.Cache != nil {
+			if err := c.Cache.Put(jobs[idx], jr.Results); err != nil {
+				finish(fmt.Errorf("cache put: %w", err))
 				return
 			}
-			if !waiting {
-				waiting = true
-				c.logf("dist: no live workers; waiting for joins (%d jobs queued)", remaining.Load())
-			}
-		} else {
-			waiting = false
 		}
-		select {
-		case <-ctx.Done():
-			stopAll()
-			return
-		case <-done:
-			stopAll()
-			return
-		case <-ticker.C:
+		if left.Add(-1) == 0 {
+			finish(nil)
 		}
+	}, finish)
+
+	runCtx, cancel := context.WithCancel(ctx)
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		s.Run(runCtx)
+	}()
+	// Joining the scheduler joins every serve loop, so no result sink
+	// runs after Run returns.
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+
+	select {
+	case err := <-finished:
+		if err != nil {
+			return nil, err
+		}
+		return results, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -526,107 +381,11 @@ func Probe(ctx context.Context, client *http.Client, base, token string) (Hello,
 	return h, nil
 }
 
-// serve is one member's dispatch loop: pull up to weight shards, send
-// them as one request, merge or requeue. It exits when the member's
-// context is cancelled (eviction, or the run ending) or when the member
-// is dropped for consecutive failures.
-func (c *Coordinator) serve(ctx context.Context, m Member, reg *Registry, q *shardQueue, ts *traceSeq,
-	jobs []harness.Job, results []harness.Result,
-	remaining *atomic.Int64, merged func(int64), fail, recordErr func(error)) {
-	consecutive := 0
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		// Re-read the weight each round: a member that re-registered with a
-		// different pool width (restarted on different hardware) pulls at
-		// its new width immediately.
-		shards := q.popUpTo(reg.WeightOf(m.ID, m.Weight))
-		if len(shards) == 0 {
-			if remaining.Load() == 0 {
-				return
-			}
-			// Another member holds the rest in flight; it may requeue.
-			if sleepCtx(ctx, 25*time.Millisecond) != nil {
-				return
-			}
-			continue
-		}
-		var indices []int
-		for _, s := range shards {
-			indices = append(indices, s...)
-		}
-		trace := ts.next()
-		log := c.log().With("trace", trace, "worker", m.ID)
-		log.Info("shard dispatch", "jobs", len(indices))
-		start := time.Now()
-		resp, fatal, err := c.runShard(ctx, m, indices, jobs, trace)
-		if fatal != nil {
-			q.push(shards...)
-			log.Error("shard fatal", "err", fatal)
-			fail(fatal)
-			return
-		}
-		if err != nil {
-			q.push(shards...)
-			// A cancelled member (evicted mid-request, or the run ending)
-			// is not a worker failure: requeue and leave quietly.
-			if ctx.Err() != nil {
-				return
-			}
-			consecutive++
-			if consecutive >= c.retries() {
-				c.logf("dist: dropping worker %s after %d consecutive failures: %v", m.ID, consecutive, err)
-				log.Warn("worker dropped", "failures", consecutive, "err", err)
-				recordErr(fmt.Errorf("last error from %s: %w", m.ID, err))
-				reg.Remove(m.ID)
-				return
-			}
-			c.logf("dist: %s failed (attempt %d, %d jobs requeued): %v", m.ID, consecutive, len(indices), err)
-			log.Warn("shard requeued", "attempt", consecutive, "jobs", len(indices), "err", err)
-			if sleepCtx(ctx, time.Duration(consecutive)*100*time.Millisecond) != nil {
-				return
-			}
-			continue
-		}
-		consecutive = 0
-		for k, idx := range indices {
-			jr := resp.Results[k]
-			// Timing rides beside the results into the merged matrix; the
-			// cache stores only jr.Results, so cached bytes stay identical
-			// to a serial local run.
-			results[idx] = harness.Result{Job: jobs[idx], Results: jr.Results, Cached: jr.Cached, Timing: jr.Timing}
-			if c.Cache != nil {
-				if err := c.Cache.Put(jobs[idx], jr.Results); err != nil {
-					fail(fmt.Errorf("cache put: %w", err))
-					return
-				}
-			}
-			merged(1)
-		}
-		c.logf("dist: %s completed %d jobs (%d remaining)", m.ID, len(indices), remaining.Load())
-		log.Info("shard complete", "jobs", len(indices), "seconds", time.Since(start).Seconds(), "remaining", remaining.Load())
-	}
-}
-
-// runShard sends one batch to one member. The second return is a fatal
-// error (version mismatch: abort the run), the third a retryable one
-// (requeue the shards).
-func (c *Coordinator) runShard(ctx context.Context, m Member, indices []int,
-	jobs []harness.Job, trace string) (RunResponse, error, error) {
-	batch := make([]harness.Job, len(indices))
-	for k, idx := range indices {
-		batch[k] = jobs[idx]
-	}
-	return ExecuteShard(ctx, c.client(), m, c.AuthToken, c.timeout(), batch, trace)
-}
-
 // ExecuteShard sends one job batch to one member over the wire protocol
 // and returns its positional results. The second return is a fatal error
 // (version mismatch: this worker can never serve this process), the
 // third a retryable one (requeue the shard for the rest of the fleet).
-// The coordinator's dispatch loop and the sweep daemon's scheduler share
-// it, so the protocol cannot drift between the one-shot and daemon paths.
+// The Scheduler's serve loops dispatch every shard through it.
 // A non-empty trace is sent as the obs.TraceHeader header; the worker
 // attaches it to its shard log records, joining the two processes' logs.
 func ExecuteShard(ctx context.Context, client *http.Client, m Member, token string,

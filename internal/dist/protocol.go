@@ -1,8 +1,10 @@
-// Package dist shards harness job batches across machines. A
-// Coordinator implements harness.Executor by partitioning a batch into
-// shards and dispatching them over HTTP/JSON to Worker daemons
-// (cmd/vbiworker), each of which wraps an ordinary local harness.Runner
-// (own worker pool, own optional result cache).
+// Package dist shards harness job batches across machines. One
+// Scheduler partitions batches into shards and dispatches them over
+// HTTP/JSON to Worker daemons (cmd/vbiworker), each of which wraps an
+// ordinary local harness.Runner (own worker pool, own optional result
+// cache). A Coordinator implements harness.Executor by submitting one
+// batch to a Scheduler and waiting; the sweep daemon (internal/sweepd)
+// runs the same Scheduler for its lifetime, one batch per sweep.
 //
 // The design goal is the same determinism contract the local pool gives:
 // a distributed run is byte-identical to a serial local run. Two
@@ -13,9 +15,10 @@
 //     speed, retries and requeues cannot reorder anything.
 //   - Version handshake. Workers advertise the ProtocolVersion baked into
 //     their binary, and every /run request repeats the coordinator's. A
-//     mismatch on either side aborts instead of degrading, so a stale
-//     worker binary can never contribute results from a different timing
-//     model, job schema or wire format.
+//     mismatch at the static handshake aborts the run, and a worker that
+//     refuses a /run (412) is dropped from the fleet, so a stale worker
+//     binary can never contribute results from a different timing model,
+//     job schema or wire format.
 //
 // Failure handling is shard-granular: a failed or timed-out request
 // requeues its shard for the surviving endpoints, and completed shards

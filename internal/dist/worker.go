@@ -149,8 +149,8 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 	}
 	// The version gate: serving a shard under a different ProtocolVersion
 	// would merge results from a different timing model, job schema or
-	// wire format into the coordinator's matrix. 412 tells the coordinator
-	// this is fatal, not retryable.
+	// wire format into the coordinator's matrix. 412 tells the scheduler
+	// to drop this worker, not retry it.
 	if rr.Version != ProtocolVersion {
 		log.Warn("refused shard: version mismatch", "coordinator", rr.Version, "worker", ProtocolVersion)
 		writeJSON(rw, http.StatusPreconditionFailed, errorBody{

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"vbi/internal/dist"
 	"vbi/internal/obs"
 )
 
@@ -16,60 +17,13 @@ import (
 // order, sorted label values — so two scrapes of the same state are
 // byte-identical.
 type metrics struct {
-	mu sync.Mutex
-	// per-worker counters, keyed by member ID
-	shardsDispatched map[string]int64
-	shardsCompleted  map[string]int64
-	shardFailures    map[string]int64
-	// per-worker shard round-trip latency (dispatch to merged response)
-	shardSeconds map[string]*obs.Histogram
-	// job + sweep counters
+	mu              sync.Mutex
 	jobsCompleted   int64
 	jobsFromCache   int64 // completions served by the daemon's cache pre-pass
 	sweepsSubmitted int64
 	sweepsDone      int64
 	sweepsFailed    int64
 	sweepsCancelled int64
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		shardsDispatched: map[string]int64{},
-		shardsCompleted:  map[string]int64{},
-		shardFailures:    map[string]int64{},
-		shardSeconds:     map[string]*obs.Histogram{},
-	}
-}
-
-func (m *metrics) dispatched(worker string, shards int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardsDispatched[worker] += int64(shards)
-}
-
-func (m *metrics) completedShards(worker string, shards int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardsCompleted[worker] += int64(shards)
-}
-
-// observeShard records one completed shard request's round-trip seconds
-// against its worker.
-func (m *metrics) observeShard(worker string, seconds float64) {
-	m.mu.Lock()
-	h, ok := m.shardSeconds[worker]
-	if !ok {
-		h = obs.NewHistogram(obs.LatencyBuckets()...)
-		m.shardSeconds[worker] = h
-	}
-	m.mu.Unlock()
-	h.Observe(seconds)
-}
-
-func (m *metrics) failed(worker string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardFailures[worker]++
 }
 
 func (m *metrics) jobDone(fromCache bool) {
@@ -96,45 +50,32 @@ func (m *metrics) sweepEvent(state string) {
 	}
 }
 
-// latency summarizes every worker's shard round-trip histogram for
-// /status, sorted by worker ID.
-func (m *metrics) latency() []WorkerLatency {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.shardSeconds))
-	for id := range m.shardSeconds {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	snaps := make([]obs.HistogramSnapshot, len(ids))
-	for i, id := range ids {
-		snaps[i] = m.shardSeconds[id].Snapshot()
-	}
-	m.mu.Unlock()
-	out := make([]WorkerLatency, len(ids))
-	for i, id := range ids {
-		s := snaps[i]
-		out[i] = WorkerLatency{
-			Worker:     id,
-			Count:      s.Count,
-			P50Seconds: s.Quantile(0.5),
-			P90Seconds: s.Quantile(0.9),
-			P99Seconds: s.Quantile(0.99),
+// latency summarizes the shard round-trip histogram of every worker
+// that has completed a shard, for /status, sorted by worker ID.
+func latency(workers []dist.WorkerStats) []WorkerLatency {
+	var out []WorkerLatency
+	for _, w := range workers {
+		if s := w.Seconds; s.Count > 0 {
+			out = append(out, WorkerLatency{
+				Worker:     w.ID,
+				Count:      s.Count,
+				P50Seconds: s.Quantile(0.5),
+				P90Seconds: s.Quantile(0.9),
+				P99Seconds: s.Quantile(0.99),
+			})
 		}
 	}
 	return out
 }
 
-// perWorker renders a per-worker counter map as sorted samples (sorted so
-// scrapes are diffable).
-func perWorker(counts map[string]int64) []obs.Sample {
-	ids := make([]string, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]obs.Sample, len(ids))
-	for i, id := range ids {
-		out[i] = obs.S(counts[id], obs.L("worker", id))
+// perWorker renders one scheduler count as samples, in the scheduler's
+// sorted worker order. A worker appears once its count is non-zero.
+func perWorker(workers []dist.WorkerStats, count func(dist.WorkerStats) int64) []obs.Sample {
+	var out []obs.Sample
+	for _, w := range workers {
+		if c := count(w); c > 0 {
+			out = append(out, obs.S(c, obs.L("worker", w.ID)))
+		}
 	}
 	return out
 }
@@ -203,22 +144,19 @@ func (m *metrics) WriteMetrics(w io.Writer, gauges gauges) {
 	obs.WriteFamily(w, "sweepd_jobs_cache_served_total", "Job completions served from the shared result cache.", "counter",
 		[]obs.Sample{obs.S(m.jobsFromCache)})
 
+	ws := gauges.workerStats
 	obs.WriteFamily(w, "sweepd_shards_dispatched_total", "Shards sent to each worker.", "counter",
-		perWorker(m.shardsDispatched))
+		perWorker(ws, func(s dist.WorkerStats) int64 { return s.Dispatched }))
 	obs.WriteFamily(w, "sweepd_shards_completed_total", "Shards each worker completed (rate = shard throughput).", "counter",
-		perWorker(m.shardsCompleted))
+		perWorker(ws, func(s dist.WorkerStats) int64 { return s.Completed }))
 	obs.WriteFamily(w, "sweepd_shard_failures_total", "Failed shard requests per worker.", "counter",
-		perWorker(m.shardFailures))
+		perWorker(ws, func(s dist.WorkerStats) int64 { return s.Failed }))
 
 	var lat []obs.Sample
-	wids := make([]string, 0, len(m.shardSeconds))
-	for id := range m.shardSeconds {
-		wids = append(wids, id)
-	}
-	sort.Strings(wids)
-	for _, id := range wids {
-		lat = append(lat, obs.QuantileSamples(m.shardSeconds[id].Snapshot(),
-			[]float64{0.5, 0.9, 0.99}, obs.L("worker", id))...)
+	for _, w := range ws {
+		if w.Seconds.Count > 0 {
+			lat = append(lat, obs.QuantileSamples(w.Seconds, []float64{0.5, 0.9, 0.99}, obs.L("worker", w.ID))...)
+		}
 	}
 	obs.WriteFamily(w, "sweepd_shard_seconds_quantile", "Estimated shard round-trip latency quantiles per worker.", "gauge", lat)
 
@@ -241,4 +179,5 @@ type gauges struct {
 	etaSeconds    map[string]float64
 	cacheHits     int64
 	cacheMisses   int64
+	workerStats   []dist.WorkerStats // the scheduler's per-worker counts
 }

@@ -4,9 +4,11 @@
 // fleet (internal/dist), and exposes the whole plane's health as
 // Prometheus-style metrics.
 //
-// Where dist.Coordinator lives for exactly one sweep and dies with its
-// process, a sweepd Server owns a persistent queue: every submitted sweep
-// is journaled to disk as its canonical self-describing harness.Job list
+// dist.Coordinator and a sweepd Server dispatch through the same
+// dist.Scheduler. Where the coordinator submits exactly one sweep and
+// dies with its process, a sweepd Server keeps its scheduler for its
+// lifetime and owns a persistent queue: every submitted sweep is
+// journaled to disk as its canonical self-describing harness.Job list
 // before the submit returns, so a daemon killed mid-sweep reloads its
 // queue on restart and — because completed shards stream into the shared
 // on-disk result cache — resumes exactly where it stopped, with final

@@ -51,10 +51,6 @@ type Server struct {
 	Timeout time.Duration
 	// Retries is how many consecutive failures drop a worker (<=0 = 2).
 	Retries int
-	// MaxShardAttempts fails a sweep whose shard has been refused this
-	// many times across the whole fleet (<=0 = 8) — the backstop against a
-	// job that errors deterministically on every worker.
-	MaxShardAttempts int
 	// PollInterval is the membership poll cadence (<=0 = 250ms).
 	PollInterval time.Duration
 	// Logger, when non-nil, receives the daemon's structured activity
@@ -68,8 +64,9 @@ type Server struct {
 	mu      sync.Mutex
 	sweeps  map[string]*sweep
 	order   []string // submission order, for listings and resume
-	sched   *scheduler
+	sched   *dist.Scheduler
 	metrics *metrics
+	handler http.Handler
 }
 
 // sweep is one sweep's in-memory state. results/completed are positional
@@ -81,7 +78,9 @@ type sweep struct {
 	completed []bool
 	remaining int
 	cached    int
-	inflight  int
+	// batch is the sweep's remote work in the scheduler; nil until
+	// admitted, and for sweeps loaded terminal.
+	batch *dist.Batch
 	// Observability accounting, accumulated from per-job timing records:
 	// summed worker wall nanos (cache hits excluded), summed phase events,
 	// and the remote-completion rate basis for throughput/ETA.
@@ -119,55 +118,6 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-func (s *Server) shardSize() int {
-	if s.ShardSize <= 0 {
-		return 4
-	}
-	return s.ShardSize
-}
-
-func (s *Server) timeout() time.Duration {
-	if s.Timeout <= 0 {
-		return 10 * time.Minute
-	}
-	return s.Timeout
-}
-
-func (s *Server) retries() int {
-	if s.Retries <= 0 {
-		return 2
-	}
-	return s.Retries
-}
-
-func (s *Server) maxShardAttempts() int {
-	if s.MaxShardAttempts <= 0 {
-		return 8
-	}
-	return s.MaxShardAttempts
-}
-
-func (s *Server) pollInterval() time.Duration {
-	if s.PollInterval <= 0 {
-		return 250 * time.Millisecond
-	}
-	return s.PollInterval
-}
-
-func (s *Server) client() *http.Client {
-	if s.Client != nil {
-		return s.Client
-	}
-	return http.DefaultClient
-}
-
-func (s *Server) log() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return obs.Discard
-}
-
 func (s *Server) logf(format string, args ...any) {
 	if s.Logger == nil {
 		return
@@ -189,13 +139,30 @@ func (s *Server) Start(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	s.sweeps = map[string]*sweep{}
-	s.metrics = newMetrics()
-	s.sched = newScheduler(s)
+	s.metrics = &metrics{}
+	s.sched = (&dist.Coordinator{
+		AuthToken:    s.AuthToken,
+		ShardSize:    s.ShardSize,
+		Timeout:      s.Timeout,
+		Retries:      s.Retries,
+		PollInterval: s.PollInterval,
+		Logger:       s.Logger,
+		Client:       s.Client,
+	}).NewScheduler(s.Fleet)
 	s.mu.Unlock()
+	// Mounting the fleet routes marks the registry dynamic before the
+	// scheduler's first poll, so a dry fleet is backpressure, not failure.
+	mux := http.NewServeMux()
+	mux.HandleFunc(PathSweeps, s.handleSweeps)
+	mux.HandleFunc(PathSweeps+"/", s.handleSweep)
+	mux.HandleFunc(PathStatus, s.handleStatus)
+	mux.HandleFunc(PathMetrics, s.handleMetrics)
+	s.Fleet.Mount(mux)
+	s.handler = dist.RequireAuth(s.AuthToken, mux)
 	if err := s.load(); err != nil {
 		return err
 	}
-	go s.sched.run(ctx)
+	go s.sched.Run(ctx)
 	return nil
 }
 
@@ -230,6 +197,18 @@ func (s *Server) load() error {
 			// even re-expanded) by this binary; keep the file for the
 			// operator, skip the sweep.
 			s.logf("sweepd: skipping journal record %s: version %s, daemon runs %s", rec.ID, rec.Version, harness.Version)
+			continue
+		}
+		// The id names the file every later write goes to: a mismatch would
+		// fork the sweep into a second record, loaded twice on restart.
+		if stem := strings.TrimSuffix(de.Name(), ".sweep.json"); rec.ID != stem {
+			s.logf("sweepd: skipping journal record %s: id %q does not match the file name", de.Name(), rec.ID)
+			continue
+		}
+		// Only a job's completion finalizes a sweep, so an active sweep
+		// without jobs would stay queued forever.
+		if !terminal(rec.State) && len(rec.Jobs) == 0 {
+			s.logf("sweepd: skipping journal record %s: %s sweep has no jobs", de.Name(), rec.State)
 			continue
 		}
 		recs = append(recs, rec)
@@ -350,10 +329,10 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, error) {
 	return SubmitResponse{ID: sw.rec.ID, Total: len(jobs), Version: dist.ProtocolVersion}, nil
 }
 
-// admit runs the cache pre-pass and enqueues the misses as shards. Cache
-// hits complete immediately — a fully warmed sweep finishes inside its
-// own submit, and a restarted daemon re-completes previously finished
-// jobs without any worker traffic.
+// admit runs the cache pre-pass and submits the misses to the
+// scheduler. Cache hits complete immediately — a fully warmed sweep
+// finishes inside its own submit, and a restarted daemon re-completes
+// previously finished jobs without any worker traffic.
 func (s *Server) admit(sw *sweep) {
 	var miss []int
 	for i, j := range sw.jobs {
@@ -368,17 +347,17 @@ func (s *Server) admit(sw *sweep) {
 		}
 		miss = append(miss, i)
 	}
-	size := s.shardSize()
-	var tasks []*task
-	for lo := 0; lo < len(miss); lo += size {
-		hi := lo + size
-		if hi > len(miss) {
-			hi = len(miss)
-		}
-		tasks = append(tasks, &task{sweepID: sw.rec.ID, indices: miss[lo:hi]})
+	id := sw.rec.ID
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Under s.mu, so a cancel either sees the batch or stops it here.
+	if !terminal(sw.rec.State) {
+		sw.batch = s.sched.Submit(sw.jobs, miss, func(idx int, jr dist.JobResult) {
+			s.complete(id, idx, jr.Results, false, jr.Timing)
+		}, func(err error) {
+			s.failSweep(id, err)
+		})
 	}
-	s.sched.queue.add(sw.rec.ID, tasks)
-	s.sched.nudge()
 }
 
 // complete records one finished job. Duplicate completions (a shard
@@ -454,17 +433,14 @@ func (s *Server) finalizeLocked(sw *sweep) {
 	s.logf("sweepd: sweep %s done (%d jobs, %d from cache)", sw.rec.ID, len(sw.jobs), sw.cached)
 }
 
-// failSweep marks a sweep failed and drops its queued shards.
+// failSweep marks a sweep failed; the scheduler has already dropped its
+// shards.
 func (s *Server) failSweep(sweepID string, cause error) {
 	s.mu.Lock()
-	sw, ok := s.sweeps[sweepID]
-	if !ok || terminal(sw.rec.State) {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if sw, ok := s.sweeps[sweepID]; ok && !terminal(sw.rec.State) {
+		s.failLocked(sw, cause)
 	}
-	s.failLocked(sw, cause)
-	s.mu.Unlock()
-	s.sched.queue.drop(sweepID)
 }
 
 func (s *Server) failLocked(sw *sweep, cause error) {
@@ -478,22 +454,11 @@ func (s *Server) failLocked(sw *sweep, cause error) {
 	s.logf("sweepd: sweep %s failed: %v", sw.rec.ID, cause)
 }
 
-// markInFlight adjusts per-sweep in-flight job counts around a dispatch.
-func (s *Server) markInFlight(refs map[string]int, delta int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	//vbi:allow maporder each sweep id adjusts its own counter; += commutes and ids are distinct
-	for id, n := range refs {
-		if sw, ok := s.sweeps[id]; ok {
-			sw.inflight += n * delta
-		}
-	}
-}
-
 // statusLocked derives a sweep's reported status. Active records persist
 // as StateQueued; the running/queued distinction is display-only, derived
 // from progress, so the journal never needs rewriting mid-sweep.
 func (s *Server) statusLocked(sw *sweep) SweepStatus {
+	_, inflight := s.sched.Pending(sw.batch)
 	st := SweepStatus{
 		ID:          sw.rec.ID,
 		Name:        sw.rec.Name,
@@ -502,7 +467,7 @@ func (s *Server) statusLocked(sw *sweep) SweepStatus {
 		Total:       len(sw.jobs),
 		Completed:   len(sw.jobs) - sw.remaining,
 		Cached:      sw.cached,
-		InFlight:    sw.inflight,
+		InFlight:    inflight,
 		SubmittedAt: sw.rec.SubmittedAt,
 		FinishedAt:  sw.rec.FinishedAt,
 		Error:       sw.rec.Error,
@@ -513,7 +478,7 @@ func (s *Server) statusLocked(sw *sweep) SweepStatus {
 		st.Phases = &p
 	}
 	if !terminal(st.State) {
-		st.Queued = sw.remaining - sw.inflight
+		st.Queued = sw.remaining - inflight
 		if st.Completed > 0 || st.InFlight > 0 {
 			st.State = StateRunning
 		} else {
@@ -531,17 +496,11 @@ func (s *Server) statusLocked(sw *sweep) SweepStatus {
 	return st
 }
 
-// Handler returns the daemon's full HTTP plane: the sweep API, /status,
-// /metrics, and the fleet membership routes, all behind the shared-token
-// gate when AuthToken is set.
+// Handler returns the daemon's full HTTP plane, built by Start: the
+// sweep API, /status, /metrics, and the fleet membership routes, all
+// behind the shared-token gate when AuthToken is set.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathSweeps, s.handleSweeps)
-	mux.HandleFunc(PathSweeps+"/", s.handleSweep)
-	mux.HandleFunc(PathStatus, s.handleStatus)
-	mux.HandleFunc(PathMetrics, s.handleMetrics)
-	s.Fleet.Mount(mux)
-	return dist.RequireAuth(s.AuthToken, mux)
+	return s.handler
 }
 
 func writeJSON(rw http.ResponseWriter, status int, v any) {
@@ -644,9 +603,9 @@ func (s *Server) cancel(id string) (SweepStatus, bool) {
 	if err := s.journal(sw); err != nil {
 		s.logf("sweepd: journal %s: %v", id, err)
 	}
-	st := s.statusLocked(sw)
+	st, b := s.statusLocked(sw), sw.batch
 	s.mu.Unlock()
-	s.sched.queue.drop(id)
+	s.sched.Cancel(b)
 	s.metrics.sweepEvent(StateCancelled)
 	s.logf("sweepd: cancelled sweep %s", id)
 	return st, true
@@ -662,7 +621,7 @@ func (s *Server) handleStatus(rw http.ResponseWriter, req *http.Request) {
 		Version: dist.ProtocolVersion,
 		Fleet:   s.Fleet.Snapshot(),
 		Sweeps:  []SweepStatus{},
-		Latency: s.metrics.latency(),
+		Latency: latency(s.sched.Workers()),
 	}
 	s.mu.Lock()
 	for _, id := range s.order {
@@ -695,7 +654,7 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		st := s.statusLocked(s.sweeps[id])
 		g.sweepStates[st.State]++
 		if !terminal(st.State) {
-			g.queueDepths[id] = s.sched.queue.depth(id)
+			g.queueDepths[id], _ = s.sched.Pending(s.sweeps[id].batch)
 			g.jobsQueued += st.Queued
 			g.jobsInFlight += st.InFlight
 			if st.JobsPerSecond > 0 {
@@ -710,5 +669,6 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rw.WriteHeader(http.StatusOK)
+	g.workerStats = s.sched.Workers()
 	s.metrics.WriteMetrics(rw, g)
 }

@@ -322,84 +322,6 @@ func TestCancelAndForget(t *testing.T) {
 	}
 }
 
-// TestFairQueueRoundRobin is the starvation guarantee at the unit level:
-// with a huge sweep and a small one pending, pops alternate between them,
-// so the small sweep's last shard leaves the queue within 2×(its size)
-// pops no matter how deep the huge backlog is.
-func TestFairQueueRoundRobin(t *testing.T) {
-	q := newFairQueue()
-	mk := func(id string, n int) []*task {
-		out := make([]*task, n)
-		for i := range out {
-			out[i] = &task{sweepID: id, indices: []int{i}}
-		}
-		return out
-	}
-	q.add("huge", mk("huge", 100))
-	q.add("small", mk("small", 3))
-
-	var seen []string
-	smallLeft := 3
-	pops := 0
-	for smallLeft > 0 {
-		ts := q.pop(1)
-		if len(ts) != 1 {
-			t.Fatalf("pop drained early after %d pops", pops)
-		}
-		pops++
-		seen = append(seen, ts[0].sweepID)
-		if ts[0].sweepID == "small" {
-			smallLeft--
-		}
-	}
-	if pops > 6 {
-		t.Errorf("small sweep needed %d pops to drain behind a 100-shard backlog (%v), want <= 6", pops, seen)
-	}
-
-	// Multi-shard pops keep rotating too: a pop of 4 must serve both.
-	q2 := newFairQueue()
-	q2.add("huge", mk("huge", 100))
-	q2.add("small", mk("small", 2))
-	got := map[string]int{}
-	for _, ts := range q2.pop(4) {
-		got[ts.sweepID]++
-	}
-	if got["small"] != 2 || got["huge"] != 2 {
-		t.Errorf("pop(4) = %v, want 2 shards from each sweep", got)
-	}
-}
-
-// TestFairQueueRequeueAndDrop pins the retry and cancel edges: requeued
-// shards land at the front of their sweep, and a dropped sweep's
-// in-flight shards cannot be resurrected by a later requeue.
-func TestFairQueueRequeueAndDrop(t *testing.T) {
-	q := newFairQueue()
-	a1 := &task{sweepID: "a", indices: []int{0}}
-	a2 := &task{sweepID: "a", indices: []int{1}}
-	q.add("a", []*task{a1, a2})
-
-	got := q.pop(1)
-	if len(got) != 1 || got[0] != a1 {
-		t.Fatalf("pop = %v, want a1", got)
-	}
-	q.requeue(got)
-	if next := q.pop(1); next[0] != a1 {
-		t.Error("requeued shard did not return to the front of its sweep")
-	}
-
-	q.drop("a")
-	if d := q.depth("a"); d != 0 {
-		t.Errorf("depth after drop = %d, want 0", d)
-	}
-	q.requeue([]*task{a2})
-	if d := q.depth("a"); d != 0 {
-		t.Errorf("dropped sweep resurrected by requeue: depth = %d", d)
-	}
-	if got := q.pop(10); len(got) != 0 {
-		t.Errorf("pop after drop returned %d shards", len(got))
-	}
-}
-
 // TestFairSchedulingAcrossSweeps is the starvation guarantee end-to-end:
 // a small sweep submitted behind a much larger one finishes while the big
 // one is still running (single slow-ish worker, shard size 1).
@@ -429,6 +351,45 @@ func TestFairSchedulingAcrossSweeps(t *testing.T) {
 		t.Errorf("small sweep = %s while big at %d/%d", smallDone.State, bigAt.Completed, bigAt.Total)
 	}
 	waitState(t, front.URL, bigID, StateDone)
+}
+
+// TestShardAttemptCapAcrossWorkers bounces one shard between four
+// static workers that answer 500 to every /run, with a Retries budget
+// that never drops them. The shard's attempt count is shared by every
+// member's serve loop, so it must be counted before the shard goes back
+// on the queue (this test is the -race regression for counting after),
+// and the sweep must fail once the shard is refused eight times.
+func TestShardAttemptCapAcrossWorkers(t *testing.T) {
+	srv := &Server{
+		Dir:       t.TempDir(),
+		Fleet:     &dist.Registry{},
+		ShardSize: 1,
+		Retries:   1 << 20,
+	}
+	for i := 0; i < 4; i++ {
+		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			http.Error(rw, "synthetic failure", http.StatusInternalServerError)
+		}))
+		t.Cleanup(w.Close)
+		srv.Fleet.Add(w.URL, 1, true, "")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if err := srv.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv.Handler())
+	t.Cleanup(front.Close)
+	t.Cleanup(cancel)
+
+	id := submit(t, front.URL, "doomed", harness.Grid{
+		Systems:   []string{"Native"},
+		Workloads: []string{"namd"},
+		Refs:      5_000,
+	})
+	sr := waitState(t, front.URL, id, StateFailed)
+	if !strings.Contains(sr.Error, "shard failed 8 times") {
+		t.Errorf("sweep error = %q, want the shard attempt cap", sr.Error)
+	}
 }
 
 // TestStatusAndMetrics scrapes both observability planes after a done
