@@ -84,14 +84,18 @@ func (bs bitset) nextSet(from int) int {
 // reserved for other VBs (stealing, used only under memory pressure by
 // construction of the priority order).
 //
-// Book-keeping is flat and hash-free: block existence/state lives in a
-// per-frame metadata array, and the free blocks of each order are tracked
-// in per-order bitmaps searched lowest-base-first with find-first-set. A
+// Book-keeping is flat: block existence/state lives in a per-frame
+// metadata array, and the free blocks of each order are tracked in
+// per-order bitmaps searched lowest-base-first with find-first-set. A
 // per-order hint (a lower bound below which no bit is set) makes the
 // first-fit scan effectively O(1) under the allocator's own first-fit
 // placement. Placement is identical to the map-backed implementation this
-// replaced — both pick the lowest base at the smallest sufficient order —
-// but the hot path no longer hashes keys or churns map buckets, which
+// replaced — both pick the lowest base at the smallest sufficient order.
+// The one map left, ownerIdx, interns owners to small indexes; Alloc,
+// Reserve, Unreserve and LargestFreeOrder read it once per call, and AllocAt
+// and Free never do.
+// Everything else is a slice or bitmap indexed by frame, order or owner
+// index, so the hot path does not hash keys or churn map buckets. That
 // matters because region allocation sits on the machine-construction path
 // (Prefill) and, under delayed allocation (§5.1), on the per-writeback
 // path of the simulated run.
@@ -101,11 +105,11 @@ type Buddy struct {
 	// meta holds the block record of the frame each block starts at.
 	meta []uint8
 	// ownerOf is the interned owner index of the block starting at each
-	// frame (meaningful only where meta has metaLive).
+	// frame (meaningful only where meta has metaLive). Index 0 is the zero
+	// Owner ("unreserved"); an allocated block keeps the index of the
+	// reservation it was carved from.
 	ownerOf []uint16
-	// owners interns distinct reservation owners; owners[0] is the zero
-	// Owner ("unreserved").
-	owners   []Owner
+	// ownerIdx interns distinct reservation owners to indexes from 1.
 	ownerIdx map[Owner]uint16
 
 	// freeUnres[o]/freeRes[o] mark the free order-o blocks by block index,
@@ -120,10 +124,11 @@ type Buddy struct {
 	// cntResOwn[oi][o] counts reserved-free order-o blocks of owner index
 	// oi, for per-owner emptiness tests without a per-owner index.
 	cntResOwn [][MaxOrder + 1]int32
-
-	// allocatedFrom indexes allocated blocks carved out of each owner's
-	// reservation, so Unreserve can retag them.
-	allocatedFrom map[Owner]map[blockKey]struct{}
+	// reservedAt[oi] lists the blocks Reserve tagged for owner index oi
+	// since its last Unreserve. Every block whose ownerOf is oi, free or
+	// allocated, lies inside these ranges, and every block inside them has
+	// ownerOf oi, so Unreserve finds oi's blocks by walking them.
+	reservedAt [][]blockKey
 
 	freeBytes     uint64
 	reservedBytes uint64 // subset of freeBytes that is reserved
@@ -136,14 +141,13 @@ func NewBuddy(capacity uint64) *Buddy {
 	capacity &^= FrameSize - 1
 	nframes := capacity >> FrameShift
 	b := &Buddy{
-		capacity:      capacity,
-		nframes:       nframes,
-		meta:          make([]uint8, nframes),
-		ownerOf:       make([]uint16, nframes),
-		owners:        []Owner{0},
-		ownerIdx:      make(map[Owner]uint16),
-		cntResOwn:     make([][MaxOrder + 1]int32, 1),
-		allocatedFrom: make(map[Owner]map[blockKey]struct{}),
+		capacity:   capacity,
+		nframes:    nframes,
+		meta:       make([]uint8, nframes),
+		ownerOf:    make([]uint16, nframes),
+		ownerIdx:   make(map[Owner]uint16),
+		cntResOwn:  make([][MaxOrder + 1]int32, 1),
+		reservedAt: make([][]blockKey, 1),
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		nbits := (nframes + OrderBytes(o)>>FrameShift - 1) >> uint(o)
@@ -176,30 +180,26 @@ func (b *Buddy) FreeBytes() uint64 { return b.freeBytes }
 // ReservedBytes returns the free bytes currently reserved for some VB.
 func (b *Buddy) ReservedBytes() uint64 { return b.reservedBytes }
 
-// internOwner maps an owner to its stable small index, assigning one on
-// first sight. The zero owner is index 0 by construction.
+// internOwner maps a non-zero owner to its stable small index, assigning
+// one on first sight.
 func (b *Buddy) internOwner(o Owner) uint16 {
-	if o == 0 {
-		return 0
-	}
 	if i, ok := b.ownerIdx[o]; ok {
 		return i
 	}
-	if len(b.owners) > 0xfffe {
+	if len(b.cntResOwn) > 0xfffe {
 		panic("phys: too many distinct reservation owners")
 	}
-	i := uint16(len(b.owners))
-	b.owners = append(b.owners, o)
+	i := uint16(len(b.cntResOwn))
 	b.ownerIdx[o] = i
 	b.cntResOwn = append(b.cntResOwn, [MaxOrder + 1]int32{})
+	b.reservedAt = append(b.reservedAt, nil)
 	return i
 }
 
 //vbi:hotpath
-func (b *Buddy) addFree(base Addr, order int, owner Owner) {
+func (b *Buddy) addFree(base Addr, order int, oi uint16) {
 	fi := uint64(base) >> FrameShift
 	b.meta[fi] = metaLive | metaFree | uint8(order)
-	oi := b.internOwner(owner)
 	b.ownerOf[fi] = oi
 	bi := int(fi >> uint(order))
 	if oi == 0 {
@@ -220,8 +220,8 @@ func (b *Buddy) addFree(base Addr, order int, owner Owner) {
 }
 
 // removeFree deletes the free block starting at base. The recorded owner
-// index (not the caller's owner argument) decides which bitmap the block
-// leaves, keeping the two views self-consistent by construction.
+// index decides which bitmap the block leaves, keeping the two views
+// self-consistent by construction.
 //
 //vbi:hotpath
 func (b *Buddy) removeFree(base Addr, order int) {
@@ -240,18 +240,18 @@ func (b *Buddy) removeFree(base Addr, order int) {
 	}
 }
 
-// splitTo repeatedly halves the free block (base, from, owner) until an
-// order-"to" block is available, re-tagging all pieces with the same owner.
-// It returns the base of the order-"to" block (always == base).
+// splitTo repeatedly halves the free block (base, from, oi) until an
+// order-"to" block is available, tagging all pieces with the same owner
+// index. It returns the base of the order-"to" block (always == base).
 //
 //vbi:hotpath
-func (b *Buddy) splitTo(base Addr, from, to int, owner Owner) Addr {
+func (b *Buddy) splitTo(base Addr, from, to int, oi uint16) Addr {
 	b.removeFree(base, from)
 	for o := from; o > to; o-- {
 		half := OrderBytes(o - 1)
-		b.addFree(base+Addr(half), o-1, owner)
+		b.addFree(base+Addr(half), o-1, oi)
 	}
-	b.addFree(base, to, owner)
+	b.addFree(base, to, oi)
 	return base
 }
 
@@ -294,40 +294,32 @@ func (b *Buddy) firstRes(order int, target uint16, equal bool) (Addr, uint16, bo
 	return NoAddr, 0, false
 }
 
-// takeFreeOwned finds a free block reserved for owner of order >= want.
-func (b *Buddy) takeFreeOwned(owner Owner, want int) (Addr, bool) {
-	oi, ok := b.ownerIdx[owner]
-	if !ok {
+// takeFreeOwned finds a free block of order >= want reserved for owner
+// index self (0 when the owner holds no reservation).
+func (b *Buddy) takeFreeOwned(self uint16, want int) (Addr, bool) {
+	if self == 0 {
 		return NoAddr, false
 	}
 	for o := want; o <= MaxOrder; o++ {
-		if b.cntResOwn[oi][o] == 0 {
+		if b.cntResOwn[self][o] == 0 {
 			continue
 		}
-		if base, _, ok := b.firstRes(o, oi, true); ok {
-			return b.splitTo(base, o, want, owner), true
+		if base, _, ok := b.firstRes(o, self, true); ok {
+			return b.splitTo(base, o, want, self), true
 		}
 	}
 	return NoAddr, false
 }
 
-// takeFreeStolen finds a free block reserved for any owner other than self.
-func (b *Buddy) takeFreeStolen(self Owner, want int) (Addr, Owner, bool) {
-	selfIdx := uint16(0)
-	if i, ok := b.ownerIdx[self]; ok {
-		selfIdx = i
-	}
+// takeFreeStolen finds a free block reserved for any owner index other
+// than self, returning the victim's index.
+func (b *Buddy) takeFreeStolen(self uint16, want int) (Addr, uint16, bool) {
 	for o := want; o <= MaxOrder; o++ {
-		own := int32(0)
-		if selfIdx != 0 {
-			own = b.cntResOwn[selfIdx][o]
-		}
-		if int32(b.cntRes[o])-own <= 0 {
+		if int32(b.cntRes[o])-b.cntResOwn[self][o] <= 0 {
 			continue
 		}
-		if base, oi, ok := b.firstRes(o, selfIdx, false); ok {
-			owner := b.owners[oi]
-			return b.splitTo(base, o, want, owner), owner, true
+		if base, oi, ok := b.firstRes(o, self, false); ok {
+			return b.splitTo(base, o, want, oi), oi, true
 		}
 	}
 	return NoAddr, 0, false
@@ -342,9 +334,10 @@ func (b *Buddy) Alloc(vb Owner, order int) (Addr, bool) {
 	if order < 0 || order > MaxOrder {
 		return NoAddr, false
 	}
+	self := b.ownerIdx[vb]
 	// Priority 1: free blocks reserved for this VB.
-	if base, ok := b.takeFreeOwned(vb, order); ok {
-		b.markAllocated(base, order, vb)
+	if base, ok := b.takeFreeOwned(self, order); ok {
+		b.markAllocated(base, order, self)
 		return base, true
 	}
 	// Priority 2: unreserved free blocks.
@@ -353,29 +346,25 @@ func (b *Buddy) Alloc(vb Owner, order int) (Addr, bool) {
 		return base, true
 	}
 	// Priority 3: steal from another VB's reservation.
-	if base, owner, ok := b.takeFreeStolen(vb, order); ok {
-		b.markAllocated(base, order, owner)
+	if base, oi, ok := b.takeFreeStolen(self, order); ok {
+		b.markAllocated(base, order, oi)
 		return base, true
 	}
 	return NoAddr, false
 }
 
+// markAllocated turns the free block at base into an allocated one that
+// keeps oi, the owner index of the reservation it was carved from (0 for
+// unreserved memory). It is the only writer of a non-zero owner index onto
+// an allocated block.
+//
 //vbi:hotpath
-func (b *Buddy) markAllocated(base Addr, order int, reservedOwner Owner) {
+func (b *Buddy) markAllocated(base Addr, order int, oi uint16) {
 	b.removeFree(base, order)
 	fi := uint64(base) >> FrameShift
 	b.meta[fi] = metaLive | uint8(order)
-	b.ownerOf[fi] = b.internOwner(reservedOwner)
+	b.ownerOf[fi] = oi
 	b.freeBytes -= OrderBytes(order)
-	if reservedOwner != 0 {
-		m := b.allocatedFrom[reservedOwner]
-		if m == nil {
-			//vbi:allow hotalloc one map per owner with live reservation-backed allocations; owners are few and the map is reused for the owner's lifetime
-			m = make(map[blockKey]struct{})
-			b.allocatedFrom[reservedOwner] = m
-		}
-		m[blockKey{base, order}] = struct{}{}
-	}
 }
 
 // AllocAt allocates the specific order-sized block at base for vb, if that
@@ -405,32 +394,32 @@ func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
 		if m&metaFree == 0 {
 			return false // region (or part of it) already allocated
 		}
-		owner := b.owners[b.ownerOf[fi]]
-		b.splitToAt(enclosing, o, base, order, owner)
-		b.markAllocated(base, order, owner)
+		oi := b.ownerOf[fi]
+		b.splitToAt(enclosing, o, base, order, oi)
+		b.markAllocated(base, order, oi)
 		return true
 	}
 	return false
 }
 
-// splitToAt splits the free block (blockBase, from, owner) down to an
+// splitToAt splits the free block (blockBase, from, oi) down to an
 // order-"to" block at exactly target, keeping every split-off sibling free
-// with the same owner.
+// with the same owner index.
 //
 //vbi:hotpath
-func (b *Buddy) splitToAt(blockBase Addr, from int, target Addr, to int, owner Owner) {
+func (b *Buddy) splitToAt(blockBase Addr, from int, target Addr, to int, oi uint16) {
 	b.removeFree(blockBase, from)
 	cur := blockBase
 	for o := from; o > to; o-- {
 		half := Addr(OrderBytes(o - 1))
 		if target >= cur+half {
-			b.addFree(cur, o-1, owner) // target in upper half; lower stays free
+			b.addFree(cur, o-1, oi) // target in upper half; lower stays free
 			cur += half
 		} else {
-			b.addFree(cur+half, o-1, owner)
+			b.addFree(cur+half, o-1, oi)
 		}
 	}
-	b.addFree(cur, to, owner)
+	b.addFree(cur, to, oi)
 }
 
 // Reserve carves an order-sized contiguous region out of *unreserved* free
@@ -446,8 +435,10 @@ func (b *Buddy) Reserve(vb Owner, order int) (Addr, bool) {
 		return NoAddr, false
 	}
 	// Retag the block as reserved-free for vb.
+	oi := b.internOwner(vb)
 	b.removeFree(base, order)
-	b.addFree(base, order, vb)
+	b.addFree(base, order, oi)
+	b.reservedAt[oi] = append(b.reservedAt[oi], blockKey{base, order})
 	return base, true
 }
 
@@ -466,23 +457,16 @@ func (b *Buddy) Free(base Addr, order int) {
 		//vbi:allow hotalloc panic formatting on a caller bug, never reached by a correct simulation
 		panic(fmt.Sprintf("phys: Free of non-allocated block %v order %d", base, order))
 	}
-	owner := b.owners[b.ownerOf[fi]]
 	b.meta[fi] = 0
-	if owner != 0 {
-		k := blockKey{base, order}
-		if am := b.allocatedFrom[owner]; am != nil {
-			delete(am, k)
-			if len(am) == 0 {
-				delete(b.allocatedFrom, owner)
-			}
-		}
-	}
 	b.freeBytes += OrderBytes(order)
-	b.freeAndMerge(base, order, owner)
+	b.freeAndMerge(base, order, b.ownerOf[fi])
 }
 
+// freeAndMerge adds the free block (base, order) with owner index oi,
+// first merging it with free buddies of the same owner index.
+//
 //vbi:hotpath
-func (b *Buddy) freeAndMerge(base Addr, order int, owner Owner) {
+func (b *Buddy) freeAndMerge(base Addr, order int, oi uint16) {
 	for order < MaxOrder {
 		buddy := base ^ Addr(OrderBytes(order))
 		bfi := uint64(buddy) >> FrameShift
@@ -493,7 +477,7 @@ func (b *Buddy) freeAndMerge(base Addr, order int, owner Owner) {
 		if m&metaLive == 0 || m&metaFree == 0 || int(m&metaOrder) != order {
 			break
 		}
-		if b.owners[b.ownerOf[bfi]] != owner {
+		if b.ownerOf[bfi] != oi {
 			break
 		}
 		b.removeFree(buddy, order)
@@ -502,45 +486,54 @@ func (b *Buddy) freeAndMerge(base Addr, order int, owner Owner) {
 		}
 		order++
 	}
-	b.addFree(base, order, owner)
+	b.addFree(base, order, oi)
 }
 
 // Unreserve releases vb's reservation: its remaining reserved-free blocks
 // become unreserved free blocks, and blocks still allocated out of the
 // reservation are retagged so that freeing them later returns them to the
 // unreserved pool.
+//
+// Both kinds are found by walking vb's reserved ranges block start by block
+// start. The ranges are walked sorted and coalesced, because a free block
+// may span two adjacent reservations its buddies merged across, and before
+// any free block is released, because a released block may merge with
+// unreserved memory outside the ranges. Blocks are released in ascending
+// base order, which fixes the merges and so the allocator's later state.
 func (b *Buddy) Unreserve(vb Owner) {
-	if oi, ok := b.ownerIdx[vb]; ok {
-		type fb struct {
-			base  Addr
-			order int
+	oi, ok := b.ownerIdx[vb]
+	if !ok {
+		return
+	}
+	ranges := b.reservedAt[oi]
+	sort.Slice(ranges, func(i, j int) bool { return ranges[i].base < ranges[j].base })
+	var free []blockKey
+	for i := 0; i < len(ranges); {
+		at := ranges[i].base
+		end := at + Addr(OrderBytes(ranges[i].order))
+		for i++; i < len(ranges) && ranges[i].base == end; i++ {
+			end += Addr(OrderBytes(ranges[i].order))
 		}
-		var blocks []fb
-		for o := 0; o <= MaxOrder; o++ {
-			if b.cntResOwn[oi][o] == 0 {
-				continue
+		for at < end {
+			fi := uint64(at) >> FrameShift
+			m := b.meta[fi]
+			if m&metaLive == 0 {
+				panic(fmt.Sprintf("phys: no block starts at %v inside %v's reserved ranges", at, vb))
 			}
-			bs := b.freeRes[o]
-			for bi := bs.nextSet(b.hintRes[o]); bi >= 0; bi = bs.nextSet(bi + 1) {
-				if b.ownerOf[uint64(bi)<<uint(o)] == oi {
-					blocks = append(blocks, fb{Addr(uint64(bi) << uint(FrameShift+o)), o})
-				}
+			order := int(m & metaOrder)
+			if m&metaFree != 0 {
+				free = append(free, blockKey{at, order})
+			} else {
+				b.ownerOf[fi] = 0
 			}
-		}
-		// Deterministic order for reproducible merging.
-		sort.Slice(blocks, func(i, j int) bool { return blocks[i].base < blocks[j].base })
-		for _, blk := range blocks {
-			b.removeFree(blk.base, blk.order)
-			b.freeAndMerge(blk.base, blk.order, 0)
+			at += Addr(OrderBytes(order))
 		}
 	}
-	if m := b.allocatedFrom[vb]; m != nil {
-		//vbi:allow maporder retagging each block's owner independently; no state read depends on visit order
-		for k := range m {
-			b.ownerOf[uint64(k.base)>>FrameShift] = 0
-		}
-		delete(b.allocatedFrom, vb)
+	for _, blk := range free {
+		b.removeFree(blk.base, blk.order)
+		b.freeAndMerge(blk.base, blk.order, 0)
 	}
+	b.reservedAt[oi] = ranges[:0]
 }
 
 // LargestFreeOrder returns the order of the largest allocatable contiguous
@@ -598,6 +591,9 @@ func (b *Buddy) CheckInvariants() error {
 		if base < prevEnd {
 			return fmt.Errorf("blocks overlap at %v", Addr(base))
 		}
+		if base+size > b.nframes<<FrameShift {
+			return fmt.Errorf("block %v order %d extends beyond the pool", Addr(base), o)
+		}
 		prevEnd = base + size
 		total += size
 		if m&metaFree != 0 {
@@ -631,6 +627,37 @@ func (b *Buddy) CheckInvariants() error {
 			return fmt.Errorf("order %d free counts (%d unres, %d res) disagree with blocks (%d, %d)",
 				o, b.cntUnres[o], b.cntRes[o], cntUnres[o], cntRes[o])
 		}
+	}
+	// Unreserve finds an owner's blocks by walking its recorded ranges: the
+	// ranges of all owners must be disjoint, and every block must carry the
+	// owner index of the ranges it lies in (0 outside all of them).
+	rangeOwner := make([]uint16, b.nframes)
+	for oi, ranges := range b.reservedAt {
+		for _, r := range ranges {
+			lo := uint64(r.base) >> FrameShift
+			hi := lo + OrderBytes(r.order)>>FrameShift
+			if hi > b.nframes {
+				return fmt.Errorf("owner index %d reserved range %v order %d beyond capacity", oi, r.base, r.order)
+			}
+			for fi := lo; fi < hi; fi++ {
+				if rangeOwner[fi] != 0 {
+					return fmt.Errorf("reserved ranges of owner indexes %d and %d overlap at %v",
+						rangeOwner[fi], oi, Addr(fi<<FrameShift))
+				}
+				rangeOwner[fi] = uint16(oi)
+			}
+		}
+	}
+	for fi := uint64(0); fi < b.nframes; {
+		oi := b.ownerOf[fi]
+		end := fi + OrderBytes(int(b.meta[fi]&metaOrder))>>FrameShift
+		for f := fi; f < end; f++ {
+			if rangeOwner[f] != oi {
+				return fmt.Errorf("block %v with owner index %d covers %v in owner index %d's reserved ranges",
+					Addr(fi<<FrameShift), oi, Addr(f<<FrameShift), rangeOwner[f])
+			}
+		}
+		fi = end
 	}
 	return nil
 }

@@ -245,10 +245,8 @@ func TestBuddyRandomizedInvariants(t *testing.T) {
 				delete(reserved, owner)
 			}
 		}
-		if step%200 == 0 {
-			if err := b.CheckInvariants(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	// Drain everything and verify full coalescing.
