@@ -64,6 +64,32 @@ func TestGoldenRunResults(t *testing.T) {
 	checkGolden(t, "golden_runresults.json", goldenResults(t))
 }
 
+// TestGoldenUniformTables pins the §5.2 flexible-structure ablation, which
+// the default-config goldens above never reach: VBI-1, VBI-2 and VBI-Full
+// on mcf with every VB backed by a fixed 4-level table. Regenerate only
+// under the same rule as TestGoldenRunResults:
+//
+//	VBI_GOLDEN_REGEN=1 go test -run TestGoldenUniformTables ./internal/system
+func TestGoldenUniformTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three VBI machines; skipped in -short")
+	}
+	prof := workloads.MustGet("mcf")
+	var out []RunResult
+	for _, kind := range []Kind{VBI1, VBI2, VBIFull} {
+		m, err := New(Config{Kind: kind, Refs: goldenRefs, UniformTables: true}, prof)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		out = append(out, res)
+	}
+	checkGolden(t, "golden_uniform.json", out)
+}
+
 // bundleGoldenRefs is per core: four cores step warmup+refs each.
 const bundleGoldenRefs = 8_000
 
