@@ -17,7 +17,6 @@ package enigma
 import (
 	"fmt"
 
-	"vbi/internal/osmodel"
 	"vbi/internal/phys"
 	"vbi/internal/tlb"
 )
@@ -63,7 +62,7 @@ type Enigma struct {
 	ctc   *tlb.TLB
 	table map[uint64]phys.Addr // intermediate page number -> physical base
 	ibrk  uint64               // intermediate-address bump pointer
-	alloc *osmodel.Bump
+	alloc *phys.Bump
 }
 
 // New builds an Enigma unit over capacity bytes of physical memory.
@@ -73,7 +72,7 @@ func New(capacity uint64) *Enigma {
 		ctc:   tlb.New("CTC", CTCEntries/8, 8),
 		table: make(map[uint64]phys.Addr),
 		ibrk:  1 << 30,
-		alloc: osmodel.NewBump(0, capacity),
+		alloc: phys.NewBump(0, capacity),
 	}
 }
 

@@ -164,7 +164,7 @@ func (c *probeCache) hotProbe(line uint64, set int) int {
 }
 
 // hotScratchAppend is the scratch-buffer contract (Hierarchy.wb,
-// MTL.walkBuf): appending into a caller-owned buffer that retains its
+// NestedTable.walkBuf): appending into a caller-owned buffer that retains its
 // capacity across calls is fine, but the analyzer cannot prove that, so
 // the site carries an explicit justification.
 //

@@ -42,7 +42,7 @@ func (m *MTL) Load(a addr.Addr, buf []byte) error {
 		case vb.regions.isSwapped(region):
 			m.swap.Read(uint64(u.Base())+cur, chunk)
 		default:
-			if frame, ok := vb.regionFrame(region); ok {
+			if frame, ok := vb.regions.frame(region); ok {
 				m.Data.Read(uint64(frame)+inRegion, chunk)
 			} else if vb.isFile {
 				m.files.Read(uint64(u.Base())+cur, chunk)
@@ -127,7 +127,7 @@ func (m *MTL) Clone(src, dst addr.VBUID) error {
 			if !ok {
 				continue
 			}
-			if err := m.mapRegion(d, region, frame); err != nil {
+			if err := d.table.Map(region, frame); err != nil {
 				return err
 			}
 			d.regions.setFrame(region, frame)
@@ -163,29 +163,8 @@ func (m *MTL) ensurePageStructure(vb *vbState) error {
 	if vb.kind != TransNone {
 		return fmt.Errorf("mtl: %v already structured as %v", vb.id, vb.kind)
 	}
-	c := vb.id.Class()
-	if staticKind(c) == TransDirect {
-		// 4 KB VB: a single region; represent as a depth-1 table so the
-		// region can point anywhere.
-		t, err := m.newRadixTable(vb, addr.Size128KB)
-		if err != nil {
-			return err
-		}
-		vb.kind = TransSingle
-		vb.table = t
-		return nil
-	}
-	t, err := m.newRadixTable(vb, c)
-	if err != nil {
-		return err
-	}
-	if staticKind(c) == TransSingle {
-		vb.kind = TransSingle
-	} else {
-		vb.kind = TransMulti
-	}
-	vb.table = t
-	return nil
+	// A 4 KB VB gets a one-entry table, so its region can point anywhere.
+	return m.newPageTable(vb)
 }
 
 // Promote implements promote_vb (§4.4): the translation information of the
@@ -218,7 +197,7 @@ func (m *MTL) Promote(small, large addr.VBUID) error {
 		if !ok {
 			continue
 		}
-		if err := m.mapRegion(l, region, frame); err != nil {
+		if err := l.table.Map(region, frame); err != nil {
 			return err
 		}
 		l.regions.setFrame(region, frame)
@@ -298,7 +277,7 @@ func (m *MTL) SwapOutRegion(u addr.VBUID, region uint64) (bool, error) {
 		// Chunk-mapped VBs keep the block entry: sibling regions still
 		// live in the chunk, and translate() consults the region map for
 		// swap state regardless of the mapping entry.
-		vb.table.unmapRegion(region)
+		vb.table.Unmap(region)
 	}
 	if vb.kind == TransDirect && vb.reservedOrder < 0 {
 		// An unreserved direct VB (4 KB class) just lost its only frame;

@@ -156,28 +156,22 @@ func (m *MTL) rebuildTable(vb *vbState) (uint64, error) {
 	if vb.blockShift != RegionShift {
 		return 0, fmt.Errorf("mtl: rebuildTable on chunk-mapped VB")
 	}
-	old := vb.table
-	t, err := m.newRadixTable(vb, vb.id.Class())
-	if err != nil {
+	old, oldKind := vb.table, vb.kind
+	if err := m.newPageTable(vb); err != nil {
 		return 0, err
 	}
-	vb.table = t
 	for region, end := uint64(0), vb.regions.limit(); region < end; region++ {
 		frame, ok := vb.regions.frame(region)
 		if !ok {
 			continue
 		}
-		if err := m.mapRegion(vb, region, frame); err != nil {
-			vb.table = old
+		if err := vb.table.Map(region, frame); err != nil {
+			m.freeTable(vb)
+			vb.table, vb.kind = old, oldKind
 			return 0, err
 		}
 	}
-	var moved uint64
-	for _, n := range old.nodes {
-		m.freeFrame(n.base, n.order)
-		moved += phys.OrderBytes(n.order)
-	}
-	return moved, nil
+	return m.releaseTable(old), nil
 }
 
 // ZoneBytes returns the allocated bytes each zone currently holds for the

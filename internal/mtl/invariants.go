@@ -66,7 +66,7 @@ func (m *MTL) CheckInvariants() error {
 					return fmt.Errorf("%v chunked region %d at %v, want %v", u, region, frame, want)
 				}
 			case vb.table != nil:
-				_, walked, ok := vb.table.walk(region, nil)
+				walked, ok := vb.table.Lookup(region)
 				if !ok || walked != frame {
 					return fmt.Errorf("%v region %d table walk gives %v,%v; region map %v",
 						u, region, walked, ok, frame)

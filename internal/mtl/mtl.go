@@ -25,6 +25,7 @@ import (
 
 	"vbi/internal/addr"
 	"vbi/internal/memdata"
+	"vbi/internal/pagetable"
 	"vbi/internal/phys"
 	"vbi/internal/prop"
 	"vbi/internal/tlb"
@@ -69,8 +70,9 @@ type Config struct {
 	// direct mapping (VBI-Full).
 	EarlyReservation bool
 	// UniformTables disables the flexible translation structures of §5.2:
-	// every VB gets a fixed 4-level table, like x86-64's page tables.
-	// Used by the ablation that quantifies the flexible-structure benefit.
+	// every VB gets a fixed 4-level table, like x86-64's page tables,
+	// including the tables Clone, Promote and MigrateVB build. Used by the
+	// ablation that quantifies the flexible-structure benefit.
 	UniformTables bool
 	// VITCacheEntries sizes the on-chip VIT cache (default 32).
 	VITCacheEntries int
@@ -136,16 +138,14 @@ type MTL struct {
 	// sharing after clone_vb, §3.4). Absent means 1 for allocated frames.
 	frameRefs map[phys.Addr]int
 
-	// walkBuf is the reusable walk-access scratch buffer handed to
-	// radixTable.walk; Event.WalkAccesses aliases it until the next
-	// translation request, so per-reference walks never allocate.
-	walkBuf []phys.Addr
-
 	Stats Stats
 }
 
 // vbState is the MTL-internal VIT entry (§4.5.1) plus translation state.
 type vbState struct {
+	// m is the owning MTL: the VB is its table's node source
+	// (AllocSized), so tables allocate from the VB's home zone.
+	m        *MTL
 	id       addr.VBUID
 	props    prop.Props
 	refCount int
@@ -165,7 +165,7 @@ type vbState struct {
 	// reservedOrder is the buddy order of the early reservation (-1 none).
 	reservedOrder int
 	// table backs TransSingle and TransMulti.
-	table *radixTable
+	table *pagetable.Table
 	// blockShift is the mapping granularity: RegionShift (12) for plain
 	// page-granularity tables, larger under the chunked early-reservation
 	// fallback of §5.3 (the VB is mapped in blocks of the largest size
@@ -184,7 +184,7 @@ type vbState struct {
 
 // regionTab is the per-VB region table: a dense slice keyed by region
 // index, replacing the regions and swapped maps the vbState previously
-// carried (the radixTable pattern — flat arrays, sentinel entries). Each
+// carried (the pagetable.Table pattern — flat arrays, sentinel entries). Each
 // entry packs the region's 4 KB-aligned physical frame with two flag bits
 // in the alignment-freed low bits, so the per-reference frame probe in
 // translate() is one bounds check and one load — no hashing, and never a
@@ -306,7 +306,6 @@ func New(cfg Config, zones []*Zone) *MTL {
 		swap:      memdata.New(),
 		files:     memdata.New(),
 		frameRefs: make(map[phys.Addr]int),
-		walkBuf:   make([]phys.Addr, 0, 8),
 	}
 }
 
@@ -374,6 +373,7 @@ func (m *MTL) Enable(u addr.VBUID, p prop.Props) error {
 		zone = m.cfg.Placement(p)
 	}
 	m.vbs[u] = &vbState{
+		m:             m,
 		id:            u,
 		props:         p,
 		kind:          TransNone,

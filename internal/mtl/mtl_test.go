@@ -109,8 +109,8 @@ func TestTableDepths(t *testing.T) {
 		addr.Size128TB: 4, // 35 bits
 	}
 	for c, d := range want {
-		if got := tableDepth(c); got != d {
-			t.Errorf("tableDepth(%v) = %d, want %d", c, got, d)
+		if geo, _ := (&MTL{}).pageGeometry(c); geo.Levels != d {
+			t.Errorf("pageGeometry(%v) has %d levels, want %d", c, geo.Levels, d)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"vbi/internal/addr"
 	"vbi/internal/memdata"
+	"vbi/internal/pagetable"
 	"vbi/internal/phys"
 )
 
@@ -40,10 +41,6 @@ func (k TransKind) String() string {
 	return fmt.Sprintf("TransKind(%d)", uint8(k))
 }
 
-// tableIndexBits is the radix width of multi-level table nodes (512
-// eight-byte entries fill a 4 KB node, as in x86-64).
-const tableIndexBits = 9
-
 // staticKind returns the translation kind the static policy of §5.2 picks
 // for a size class: 4 KB VBs are direct-mapped (they are one region),
 // 128 KB and 4 MB VBs use a single-level table, and larger VBs use a
@@ -59,198 +56,74 @@ func staticKind(c addr.SizeClass) TransKind {
 	}
 }
 
-// tableDepth returns the table depth for a size class: classes up to 4 MB
-// use a single level (their whole region index fits one contiguous table,
-// §5.2), larger classes use ceil((offsetBits-12)/9) radix levels.
-func tableDepth(c addr.SizeClass) int {
-	bits := int(c.OffsetBits()) - RegionShift
-	if bits <= 0 {
-		return 0
+// pageGeometry returns the shape and kind of a page-granularity table for
+// a size class, indexed by region (PageShift 0). Under the static policy
+// of §5.2, 128 KB and 4 MB VBs get one contiguous level (a 4 MB VB's 1024
+// entries span two frames), larger VBs ceil(bits/9) radix levels of 4 KB
+// nodes, and a 4 KB VB that needs a table at all a one-entry root. The
+// UniformTables ablation gives every VB four levels, as x86-64 walks four
+// levels no matter how little of the address space a process uses.
+func (m *MTL) pageGeometry(c addr.SizeClass) (pagetable.Geometry, TransKind) {
+	bits := uint(max(0, int(c.OffsetBits())-RegionShift))
+	levels, kind := 1, TransSingle
+	switch {
+	case m.cfg.UniformTables:
+		levels, kind = 4, TransMulti
+	case staticKind(c) == TransMulti:
+		levels, kind = int(bits+8)/9, TransMulti // 9 index bits per node
 	}
-	if staticKind(c) != TransMulti {
-		return 1
-	}
-	return (bits + tableIndexBits - 1) / tableIndexBits
+	rootBits := bits - min(bits, uint(9*(levels-1)))
+	return pagetable.Geometry{Levels: levels, RootBits: rootBits}, kind
 }
 
-// nodeRef records an allocated table node for teardown.
-type nodeRef struct {
-	base  phys.Addr // global physical address
-	order int
-}
-
-// radixTable is the in-memory translation structure backing TransSingle
-// (depth 1, root possibly spanning several contiguous frames) and
-// TransMulti (depth > 1, 4 KB nodes). Like the page tables of the
-// conventional baselines it is functional: Map installs real mappings and
-// Walk retraces the exact entry addresses hardware would read.
-//
-// Node contents are flat per-node arrays (entries[ni], parallel to
-// nodes[ni]) rather than a map keyed by entry address: a walk descends by
-// node index with plain array reads, and mapping a region during Prefill
-// never rehashes. Interior entries hold the child's node index; leaf-level
-// entries hold the mapped frame.
-type radixTable struct {
-	depth   int
-	topBits uint // index bits consumed at the root level
-	root    phys.Addr
-	nodes   []nodeRef
-	entries [][]uint64
-}
-
-// absentEntry marks a non-present table entry. It can never collide with a
-// payload: child node indexes are small, and mapped frames are real
-// physical addresses below the pool capacity.
-const absentEntry = ^uint64(0)
-
-// newNodeEntries returns an all-absent entry array of n slots.
-func newNodeEntries(n int) []uint64 {
-	e := make([]uint64, n)
-	for i := range e {
-		e[i] = absentEntry
-	}
-	return e
-}
-
-// newRadixTable builds the table skeleton for a size class, allocating the
-// root from the VB's zone.
-func (m *MTL) newRadixTable(vb *vbState, c addr.SizeClass) (*radixTable, error) {
-	return m.newRadixTableBits(vb, uint(int(c.OffsetBits())-RegionShift), tableDepth(c))
-}
-
-// newRadixTableBits builds a table over totalBits of index with the given
-// depth (depth 1 = single contiguous table, deeper = radix-9 nodes).
-func (m *MTL) newRadixTableBits(vb *vbState, totalBits uint, depth int) (*radixTable, error) {
-	t := &radixTable{depth: depth}
-	var rootOrder int
-	if depth <= 1 {
-		t.depth = 1
-		t.topBits = totalBits
-		// Entries*8 bytes, contiguous: 4 MB VBs need 1024 entries = 2
-		// frames (order 1); 128 KB VBs need 32 entries (order 0).
-		bytes := (uint64(1) << totalBits) * 8
-		if bytes < phys.FrameSize {
-			bytes = phys.FrameSize
-		}
-		o, ok := phys.OrderFor(bytes)
-		if !ok {
-			return nil, fmt.Errorf("mtl: single-level table too large (%d index bits)", totalBits)
-		}
-		rootOrder = o
-	} else {
-		t.topBits = totalBits - uint(tableIndexBits*(depth-1))
-		rootOrder = 0
-	}
-	root, err := m.allocNode(vb, rootOrder)
+// newPageTable replaces the VB's structure with an empty page-granularity
+// table of the shape pageGeometry picks; the caller releases any previous
+// table.
+func (m *MTL) newPageTable(vb *vbState) error {
+	geo, kind := m.pageGeometry(vb.id.Class())
+	t, err := pagetable.New(geo, vb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.root = root
-	t.nodes = append(t.nodes, nodeRef{root, rootOrder})
-	t.entries = append(t.entries, newNodeEntries(1<<t.topBits))
-	return t, nil
-}
-
-// allocNode allocates a table node from the VB's home zone.
-func (m *MTL) allocNode(vb *vbState, order int) (phys.Addr, error) {
-	z := m.zones[vb.zone]
-	local, ok := z.Buddy.Alloc(vb.id, order)
-	if !ok {
-		// Fall back to any zone with space.
-		for _, alt := range m.zones {
-			if local, ok = alt.Buddy.Alloc(vb.id, order); ok {
-				return alt.Base + local, nil
-			}
-		}
-		return phys.NoAddr, fmt.Errorf("mtl: out of memory for table node")
-	}
-	return z.Base + local, nil
-}
-
-// indexAt returns the radix index consumed at level k (0 = root).
-func (t *radixTable) indexAt(region uint64, k int) uint64 {
-	if k == 0 {
-		if t.topBits == 0 {
-			return 0
-		}
-		shift := uint(tableIndexBits * (t.depth - 1))
-		return (region >> shift) & (1<<t.topBits - 1)
-	}
-	shift := uint(tableIndexBits * (t.depth - 1 - k))
-	return (region >> shift) & (1<<tableIndexBits - 1)
-}
-
-func tableEntryAddr(node phys.Addr, idx uint64) phys.Addr {
-	return node + phys.Addr(idx*8)
-}
-
-// walk appends the entry addresses a hardware walk of region touches to
-// accesses (a caller-owned scratch buffer) and returns it along with the
-// mapped frame and whether the region is mapped. A walk that finds a hole
-// stops early (fewer accesses), mirroring a radix walker hitting a
-// non-present entry.
-//
-//vbi:hotpath
-func (t *radixTable) walk(region uint64, accesses []phys.Addr) ([]phys.Addr, phys.Addr, bool) {
-	ni := 0
-	for k := 0; k < t.depth; k++ {
-		idx := t.indexAt(region, k)
-		//vbi:allow hotalloc append into the caller's scratch buffer, bounded by the table depth (at most 4); the MTL retains the capacity across walks
-		accesses = append(accesses, tableEntryAddr(t.nodes[ni].base, idx))
-		val := t.entries[ni][idx]
-		if val == absentEntry {
-			return accesses, phys.NoAddr, false
-		}
-		if k == t.depth-1 {
-			return accesses, phys.Addr(val), true
-		}
-		ni = int(val)
-	}
-	return accesses, phys.NoAddr, false
-}
-
-// mapRegion installs region -> frame, allocating intermediate nodes.
-func (m *MTL) mapRegion(vb *vbState, region uint64, frame phys.Addr) error {
-	t := vb.table
-	ni := 0
-	for k := 0; k < t.depth-1; k++ {
-		idx := t.indexAt(region, k)
-		val := t.entries[ni][idx]
-		if val == absentEntry {
-			n, err := m.allocNode(vb, 0)
-			if err != nil {
-				return err
-			}
-			val = uint64(len(t.nodes))
-			t.nodes = append(t.nodes, nodeRef{n, 0})
-			t.entries = append(t.entries, newNodeEntries(1<<tableIndexBits))
-			t.entries[ni][idx] = val
-		}
-		ni = int(val)
-	}
-	t.entries[ni][t.indexAt(region, t.depth-1)] = uint64(frame)
+	vb.table, vb.kind = t, kind
 	return nil
 }
 
-// unmapRegion clears the leaf entry for region (nodes are retained until
-// the VB is disabled).
-func (t *radixTable) unmapRegion(region uint64) {
-	ni := 0
-	for k := 0; k < t.depth-1; k++ {
-		val := t.entries[ni][t.indexAt(region, k)]
-		if val == absentEntry {
-			return
-		}
-		ni = int(val)
+// AllocSized allocates a table node of size bytes from the VB's home
+// zone, falling back to any zone with space (satisfies
+// pagetable.FrameSource).
+func (vb *vbState) AllocSized(size uint64) (phys.Addr, bool) {
+	order, ok := phys.OrderFor(size)
+	if !ok {
+		return phys.NoAddr, false
 	}
-	t.entries[ni][t.indexAt(region, t.depth-1)] = absentEntry
+	z := vb.m.zones[vb.zone]
+	if local, ok := z.Buddy.Alloc(vb.id, order); ok {
+		return z.Base + local, true
+	}
+	for _, alt := range vb.m.zones {
+		if local, ok := alt.Buddy.Alloc(vb.id, order); ok {
+			return alt.Base + local, true
+		}
+	}
+	return phys.NoAddr, false
+}
+
+// releaseTable frees every node of t, root first, and returns the bytes
+// freed.
+func (m *MTL) releaseTable(t *pagetable.Table) uint64 {
+	var freed uint64
+	t.EachNode(func(base phys.Addr, size uint64) {
+		order, _ := phys.OrderFor(size)
+		m.freeFrame(base, order)
+		freed += size
+	})
+	return freed
 }
 
 // freeTable releases every node of the VB's table.
 func (m *MTL) freeTable(vb *vbState) {
-	for _, n := range vb.table.nodes {
-		m.freeFrame(n.base, n.order)
-	}
+	m.releaseTable(vb.table)
 	vb.table = nil
 }
 
@@ -279,7 +152,7 @@ func (m *MTL) ensureStructure(vb *vbState) error {
 		// be reserved contiguously — a single-level table whose entries
 		// each cover one reserved chunk.
 		if shift, ok := m.chunkedShift(vb); ok {
-			t, err := m.newRadixTableBits(vb, c.OffsetBits()-shift, 1)
+			t, err := pagetable.New(pagetable.Geometry{Levels: 1, RootBits: c.OffsetBits() - shift}, vb)
 			if err == nil {
 				vb.kind = TransSingle
 				vb.table = t
@@ -294,67 +167,19 @@ func (m *MTL) ensureStructure(vb *vbState) error {
 }
 
 // staticStructure builds the page-granularity structure of the static
-// policy (§5.2), or a fixed 4-level table when the flexible-structure
-// ablation is active.
+// policy (§5.2): 4 KB VBs are direct-mapped, every other VB (and every VB
+// under the UniformTables ablation) gets a table.
 func (m *MTL) staticStructure(vb *vbState) error {
-	c := vb.id.Class()
-	if m.cfg.UniformTables {
-		t, err := m.newUniformTable(vb, c)
-		if err != nil {
-			return err
-		}
-		vb.kind = TransMulti
-		vb.table = t
-		return nil
+	if m.cfg.UniformTables || staticKind(vb.id.Class()) != TransDirect {
+		return m.newPageTable(vb)
 	}
-	switch staticKind(c) {
-	case TransDirect: // 4 KB VB: one region, direct-mapped
-		frame, err := m.allocRegionFrame(vb)
-		if err != nil {
-			return err
-		}
-		vb.kind = TransDirect
-		vb.directBase = frame
-		return nil
-	case TransSingle:
-		t, err := m.newRadixTable(vb, c)
-		if err != nil {
-			return err
-		}
-		vb.kind = TransSingle
-		vb.table = t
-		return nil
-	default:
-		t, err := m.newRadixTable(vb, c)
-		if err != nil {
-			return err
-		}
-		vb.kind = TransMulti
-		vb.table = t
-		return nil
-	}
-}
-
-// newUniformTable builds a fixed 4-level table regardless of size class
-// (upper levels of small VBs consume zero index bits, as x86-64 walks four
-// levels no matter how little of the address space a process uses).
-func (m *MTL) newUniformTable(vb *vbState, c addr.SizeClass) (*radixTable, error) {
-	totalBits := uint(0)
-	if int(c.OffsetBits()) > RegionShift {
-		totalBits = c.OffsetBits() - RegionShift
-	}
-	t := &radixTable{depth: 4}
-	if totalBits > 27 {
-		t.topBits = totalBits - 27
-	}
-	root, err := m.allocNode(vb, 0)
+	frame, err := m.allocRegionFrame(vb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.root = root
-	t.nodes = append(t.nodes, nodeRef{root, 0})
-	t.entries = append(t.entries, newNodeEntries(1<<t.topBits))
-	return t, nil
+	vb.kind = TransDirect
+	vb.directBase = frame
+	return nil
 }
 
 // chunkedShift picks the block size (log2) for the chunked-reservation
@@ -396,14 +221,8 @@ func (vb *vbState) blockIndex(region uint64) uint64 {
 // falling back to other zones (the buddy's own three-level priority
 // handles reservations within a zone).
 func (m *MTL) allocRegionFrame(vb *vbState) (phys.Addr, error) {
-	z := m.zones[vb.zone]
-	if local, ok := z.Buddy.Alloc(vb.id, 0); ok {
-		return z.Base + local, nil
-	}
-	for _, alt := range m.zones {
-		if local, ok := alt.Buddy.Alloc(vb.id, 0); ok {
-			return alt.Base + local, nil
-		}
+	if frame, ok := vb.AllocSized(RegionSize); ok {
+		return frame, nil
 	}
 	return phys.NoAddr, fmt.Errorf("mtl: out of physical memory")
 }
@@ -432,14 +251,14 @@ func (m *MTL) allocateRegion(vb *vbState, region uint64) (phys.Addr, error) {
 				break
 			}
 			// Reservation slot stolen: downgrade to page granularity.
-			if err := m.downgradeDirect(vb); err != nil {
+			if err := m.downgradeToPages(vb); err != nil {
 				return phys.NoAddr, err
 			}
 			f, err := m.allocRegionFrame(vb)
 			if err != nil {
 				return phys.NoAddr, err
 			}
-			if err := m.mapRegion(vb, region, f); err != nil {
+			if err := vb.table.Map(region, f); err != nil {
 				return phys.NoAddr, err
 			}
 			frame = f
@@ -469,7 +288,7 @@ func (m *MTL) allocateRegion(vb *vbState, region uint64) (phys.Addr, error) {
 		if err != nil {
 			return phys.NoAddr, err
 		}
-		if err := m.mapRegion(vb, region, f); err != nil {
+		if err := vb.table.Map(region, f); err != nil {
 			return phys.NoAddr, err
 		}
 		frame = f
@@ -503,7 +322,7 @@ func (m *MTL) allocChunkedRegion(vb *vbState, region uint64) (frame phys.Addr, f
 		}
 		chunkBase = z.Base + local
 		vb.blocks[blockIdx] = chunkBase
-		if err := m.mapRegion(vb, blockIdx, chunkBase); err != nil {
+		if err := vb.table.Map(blockIdx, chunkBase); err != nil {
 			return phys.NoAddr, false, err
 		}
 		m.Stats.Reservations++
@@ -522,44 +341,25 @@ func (m *MTL) allocChunkedRegion(vb *vbState, region uint64) (frame phys.Addr, f
 	return f, true, err
 }
 
-// downgradeDirect demotes a direct-mapped VB to page granularity.
-func (m *MTL) downgradeDirect(vb *vbState) error { return m.downgradeToPages(vb) }
-
 // downgradeToPages demotes a direct-mapped or chunk-mapped VB to the static
 // page-granularity structure, re-mapping its already-allocated regions in
 // place (they remain where they were, so no copying is needed) and
 // releasing outstanding reservations.
 func (m *MTL) downgradeToPages(vb *vbState) error {
-	c := vb.id.Class()
 	if vb.table != nil {
 		m.freeTable(vb)
 	}
 	vb.blockShift = RegionShift
 	vb.blocks = nil
-	if m.cfg.UniformTables {
-		t, err := m.newUniformTable(vb, c)
-		if err != nil {
-			return err
-		}
-		vb.table = t
-		vb.kind = TransMulti
-	} else {
-		t, err := m.newRadixTable(vb, c)
-		if err != nil {
-			return err
-		}
-		vb.table = t
-		vb.kind = staticKind(c)
-		if vb.kind == TransDirect { // 4 KB class: re-point via a table
-			vb.kind = TransSingle
-		}
+	if err := m.newPageTable(vb); err != nil {
+		return err
 	}
 	for region, end := uint64(0), vb.regions.limit(); region < end; region++ {
 		frame, ok := vb.regions.frame(region)
 		if !ok {
 			continue
 		}
-		if err := m.mapRegion(vb, region, frame); err != nil {
+		if err := vb.table.Map(region, frame); err != nil {
 			return err
 		}
 	}
@@ -603,12 +403,4 @@ func copyFromStore(dst, src *memdata.Store, dstAddr, srcAddr uint64) {
 	buf := make([]byte, RegionSize)
 	src.Read(srcAddr, buf)
 	dst.Write(dstAddr, buf)
-}
-
-// regionFrame returns the frame backing the region, consulting the direct
-// mapping or the table, without allocating.
-//
-//vbi:hotpath
-func (vb *vbState) regionFrame(region uint64) (phys.Addr, bool) {
-	return vb.regions.frame(region)
 }

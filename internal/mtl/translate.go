@@ -27,8 +27,8 @@ type Event struct {
 	// on a VIT-cache miss (phys.NoAddr when none).
 	VITAccess phys.Addr
 	// WalkAccesses lists translation-structure reads (DRAM accesses at the
-	// memory controller). The slice aliases an MTL-owned scratch buffer
-	// and is valid until the next translation request; callers charge the
+	// memory controller). The slice aliases the VB table's inline walk
+	// buffer and is valid until that table's next walk; callers charge the
 	// accesses immediately and never retain the slice.
 	WalkAccesses []phys.Addr
 	// AllocatedRegion is set when this request allocated a 4 KB region.
@@ -136,7 +136,7 @@ func (m *MTL) translate(a addr.Addr, forWrite bool) (Event, error) {
 		m.readVIT(u, &ev)
 	}
 
-	frame, allocated := vb.regionFrame(region)
+	frame, allocated := vb.regions.frame(region)
 	switch {
 	case allocated:
 		// Nothing to do: mapping exists. Charge the walk only on a TLB
@@ -192,16 +192,15 @@ func (m *MTL) translate(a addr.Addr, forWrite bool) (Event, error) {
 
 // walkAccesses returns the structure-entry addresses hardware reads to
 // translate the region (empty for direct-mapped VBs: the VIT entry itself
-// holds the base). The result aliases m.walkBuf — see Event.WalkAccesses.
+// holds the base). The result aliases the table's walk buffer — see
+// Event.WalkAccesses.
 //
 //vbi:hotpath
 func (m *MTL) walkAccesses(vb *vbState, region uint64) []phys.Addr {
 	if vb.kind == TransDirect || vb.table == nil {
 		return nil
 	}
-	accesses, _, _ := vb.table.walk(vb.blockIndex(region), m.walkBuf[:0])
-	m.walkBuf = accesses
-	return accesses
+	return vb.table.Walk(vb.blockIndex(region), nil).Accesses
 }
 
 // resolveCOW performs the lazy copy of a shared region on its first write:
@@ -244,7 +243,7 @@ func (m *MTL) resolveCOW(vb *vbState, region uint64) (phys.Addr, bool, error) {
 }
 
 func (m *MTL) mapRegionOrPanic(vb *vbState, region uint64, frame phys.Addr) {
-	if err := m.mapRegion(vb, region, frame); err != nil {
+	if err := vb.table.Map(region, frame); err != nil {
 		panic(fmt.Sprintf("mtl: remap of existing region failed: %v", err))
 	}
 }

@@ -296,3 +296,52 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestUniformTablesSurviveCloneMigratePromote checks that the §5.2
+// ablation holds for every table the MTL builds, not only at first
+// allocation: a clone, a promote target and a VB migrated to another zone
+// all keep the fixed 4-level walk.
+func TestUniformTablesSurviveCloneMigratePromote(t *testing.T) {
+	zones := NewZones(map[string]uint64{"DRAM": 16 << 20, "PCM": 48 << 20}, []string{"DRAM", "PCM"})
+	m := New(Config{UniformTables: true}, zones)
+	// walks returns the accesses of a TLB-missing read of region 0.
+	walks := func(u addr.VBUID) int {
+		t.Helper()
+		m.InvalidateTLBRange(u.Base(), u.Size())
+		ev, err := m.TranslateRead(addr.Make(u, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ev.WalkAccesses)
+	}
+	check := func(what string, u addr.VBUID) {
+		t.Helper()
+		if got := walks(u); got != 4 {
+			t.Errorf("%s: %d walk accesses, want 4", what, got)
+		}
+	}
+
+	src := mustEnable(t, m, addr.Size128KB, 1, 0)
+	check("128 KB source", src)
+	clone := mustEnable(t, m, addr.Size128KB, 2, 0)
+	if err := m.Clone(src, clone); err != nil {
+		t.Fatal(err)
+	}
+	check("clone", clone)
+
+	large := mustEnable(t, m, addr.Size4MB, 3, 0)
+	if err := m.Promote(src, large); err != nil {
+		t.Fatal(err)
+	}
+	check("promote target", large)
+
+	mig := mustEnable(t, m, addr.Size4MB, 4, 0)
+	check("4 MB before migration", mig)
+	if _, err := m.MigrateVB(mig, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("4 MB after migration", mig)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,36 +17,6 @@ import (
 // errOutOfMemory reports an exhausted physical memory.
 var errOutOfMemory = errors.New("osmodel: out of physical memory")
 
-// Bump is a simple bump allocator over a physical range. The conventional
-// OS model never frees during a run (the paper's workload regions run to
-// completion), so bump allocation keeps the model minimal and
-// deterministic. It hands out both 4 KB table nodes and page-sized frames.
-type Bump struct {
-	next  phys.Addr
-	limit phys.Addr
-}
-
-// NewBump allocates from [base, base+size).
-func NewBump(base phys.Addr, size uint64) *Bump {
-	return &Bump{next: base, limit: base + phys.Addr(size)}
-}
-
-// Alloc returns a 4 KB frame (satisfies pagetable.FrameSource).
-func (b *Bump) Alloc() (phys.Addr, bool) { return b.AllocSized(phys.FrameSize) }
-
-// AllocSized returns a size-aligned block of size bytes.
-func (b *Bump) AllocSized(size uint64) (phys.Addr, bool) {
-	aligned := (b.next + phys.Addr(size-1)) &^ phys.Addr(size-1)
-	if aligned+phys.Addr(size) > b.limit {
-		return phys.NoAddr, false
-	}
-	b.next = aligned + phys.Addr(size)
-	return aligned, true
-}
-
-// Used returns the bytes consumed so far.
-func (b *Bump) Used(base phys.Addr) uint64 { return uint64(b.next - base) }
-
 // ConvStats counts OS events of the conventional model.
 type ConvStats struct {
 	MinorFaults uint64 // demand-paging first-touch faults
@@ -58,12 +28,12 @@ type ConvStats struct {
 type ConvOS struct {
 	Geo   pagetable.Geometry
 	Stats ConvStats
-	alloc *Bump
+	alloc *phys.Bump
 }
 
 // NewConvOS builds the OS over capacity bytes of physical memory.
 func NewConvOS(geo pagetable.Geometry, capacity uint64) *ConvOS {
-	return &ConvOS{Geo: geo, alloc: NewBump(0, capacity)}
+	return &ConvOS{Geo: geo, alloc: phys.NewBump(0, capacity)}
 }
 
 // ConvProcess is one conventional process: a virtual address space managed

@@ -7,25 +7,6 @@ import (
 	"vbi/internal/phys"
 )
 
-func TestBumpAllocator(t *testing.T) {
-	b := NewBump(0, 1<<20)
-	a1, ok := b.AllocSized(4096)
-	if !ok || a1 != 0 {
-		t.Fatalf("first alloc = %v,%v", a1, ok)
-	}
-	a2, ok := b.AllocSized(2 << 20)
-	if ok {
-		t.Fatalf("oversized alloc succeeded: %v", a2)
-	}
-	a3, ok := b.AllocSized(64 << 10)
-	if !ok || uint64(a3)%(64<<10) != 0 {
-		t.Fatalf("aligned alloc = %v,%v", a3, ok)
-	}
-	if _, ok := b.Alloc(); !ok {
-		t.Fatal("FrameSource Alloc failed")
-	}
-}
-
 func TestConvDemandPaging(t *testing.T) {
 	os := NewConvOS(pagetable.Page4K, 64<<20)
 	p, err := os.NewProcess()

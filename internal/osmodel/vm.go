@@ -20,12 +20,12 @@ type VMStats struct {
 type VMHost struct {
 	Geo   pagetable.Geometry
 	Stats VMStats
-	alloc *Bump
+	alloc *phys.Bump
 }
 
 // NewVMHost builds a hypervisor over capacity bytes of host memory.
 func NewVMHost(geo pagetable.Geometry, capacity uint64) *VMHost {
-	return &VMHost{Geo: geo, alloc: NewBump(0, capacity)}
+	return &VMHost{Geo: geo, alloc: phys.NewBump(0, capacity)}
 }
 
 // GuestVM is one virtual machine: an emulated guest-physical space, the
@@ -35,13 +35,13 @@ type GuestVM struct {
 	host   *VMHost
 	Nested *pagetable.NestedTable
 	// galloc allocates guest-physical frames.
-	galloc *Bump
+	galloc *phys.Bump
 	brk    uint64
 }
 
 // NewGuest creates a VM with guestMem bytes of emulated physical memory.
 func (h *VMHost) NewGuest(guestMem uint64) (*GuestVM, error) {
-	g := &GuestVM{host: h, galloc: NewBump(0, guestMem), brk: 0x10000000}
+	g := &GuestVM{host: h, galloc: phys.NewBump(0, guestMem), brk: 0x10000000}
 	// The guest's page-table nodes are guest-physical frames; wrap the
 	// allocator so every new node is immediately backed by host memory
 	// (the hypervisor populates the EPT for guest PT pages on first use).
@@ -62,12 +62,12 @@ func (h *VMHost) NewGuest(guestMem uint64) (*GuestVM, error) {
 // memory in one step (used for guest page-table nodes).
 type backedAlloc struct{ g *GuestVM }
 
-func (b backedAlloc) Alloc() (phys.Addr, bool) {
-	gpa, ok := b.g.galloc.AllocSized(phys.FrameSize)
+func (b backedAlloc) AllocSized(size uint64) (phys.Addr, bool) {
+	gpa, ok := b.g.galloc.AllocSized(size)
 	if !ok {
 		return phys.NoAddr, false
 	}
-	if err := b.g.backGPA(uint64(gpa), phys.FrameSize); err != nil {
+	if err := b.g.backGPA(uint64(gpa), size); err != nil {
 		return phys.NoAddr, false
 	}
 	return gpa, true

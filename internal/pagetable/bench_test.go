@@ -12,12 +12,12 @@ const benchVA = 0x7f00_0000_0000
 // benchTable returns a 4 KB table with benchVA mapped.
 func benchTable(tb testing.TB) *Table {
 	tb.Helper()
-	alloc := phys.NewFrameAllocator(64 << 20)
+	alloc := phys.NewBump(0, 64<<20)
 	t, err := New(Page4K, alloc)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	if err := t.Map(benchVA, frame); err != nil {
 		tb.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func benchTable(tb testing.TB) *Table {
 // every guest node backed, so an uncached walk takes all 24 accesses.
 func benchNested(tb testing.TB) *NestedTable {
 	tb.Helper()
-	guest, err := New(Page4K, phys.NewFrameAllocator(64<<20))
+	guest, err := New(Page4K, phys.NewBump(0, 64<<20))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	host, err := New(Page4K, phys.NewFrameAllocator(256<<20))
+	host, err := New(Page4K, phys.NewBump(0, 256<<20))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func BenchmarkMapPrefill(b *testing.B) {
 	const span = 256 << 20
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := New(Page4K, phys.NewFrameAllocator(64<<20))
+		t, err := New(Page4K, phys.NewBump(0, 64<<20))
 		if err != nil {
 			b.Fatal(err)
 		}

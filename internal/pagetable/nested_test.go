@@ -11,8 +11,8 @@ import (
 // backed by a host table, and maps gva -> gpa -> hpa.
 func buildNested(t *testing.T, geoG, geoH Geometry) (*NestedTable, uint64, phys.Addr) {
 	t.Helper()
-	guestPhys := phys.NewFrameAllocator(64 << 20)
-	hostPhys := phys.NewFrameAllocator(256 << 20)
+	guestPhys := phys.NewBump(0, 64<<20)
+	hostPhys := phys.NewBump(0, 256<<20)
 	guest, err := New(geoG, guestPhys)
 	if err != nil {
 		t.Fatal(err)

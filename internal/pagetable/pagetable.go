@@ -3,7 +3,9 @@
 // memory, hardware walks accelerated by page-walk caches, and the
 // two-dimensional (nested) walks of virtualized systems, which require up
 // to 24 memory accesses for 4-level tables — the overhead VBI eliminates
-// (§1, §3.5).
+// (§1, §3.5). The same radix table also backs the Memory Translation
+// Layer's per-VB translation structures (§5.2), whose roots are sized by
+// the VB's size class.
 package pagetable
 
 import (
@@ -20,24 +22,38 @@ const indexBits = 9
 // entrySize is the size of one PTE in bytes.
 const entrySize = 8
 
-// Geometry describes a page-table shape.
+// maxLevels bounds the table depth: x86-64 walks 4 levels, and so does
+// the MTL's largest (128 TB) size class.
+const maxLevels = 4
+
+// Geometry describes a page-table shape. Every level below the root
+// consumes 9 index bits from 512-entry 4 KB nodes; the root consumes
+// RootBits. A root wider than 512 entries spans 2^k contiguous frames.
 type Geometry struct {
-	Levels    int  // 4 for 4 KB pages, 3 for 2 MB pages
-	PageShift uint // 12 or 21
+	Levels    int  // 1..4: 4 for 4 KB pages, 3 for 2 MB pages
+	PageShift uint // 12 or 21 (0 for MTL tables, indexed by region)
+	RootBits  uint // index bits consumed at the root
 }
 
 // Page4K is the 4-level, 4 KB-page geometry of x86-64.
-var Page4K = Geometry{Levels: 4, PageShift: 12}
+var Page4K = Geometry{Levels: 4, PageShift: 12, RootBits: indexBits}
 
 // Page2M is the 3-level, 2 MB-page geometry (leaf at the PD level).
-var Page2M = Geometry{Levels: 3, PageShift: 21}
+var Page2M = Geometry{Levels: 3, PageShift: 21, RootBits: indexBits}
 
 // PageSize returns the mapped page size in bytes.
 func (g Geometry) PageSize() uint64 { return 1 << g.PageShift }
 
-// FrameSource supplies 4 KB frames for table nodes.
+// rootBytes returns the size of the root node: its entries, rounded up to
+// at least one frame.
+func (g Geometry) rootBytes() uint64 {
+	return max(phys.FrameSize, uint64(entrySize)<<g.RootBits)
+}
+
+// FrameSource supplies size-aligned blocks of size bytes (a power-of-two
+// multiple of the 4 KB frame) for table nodes.
 type FrameSource interface {
-	Alloc() (phys.Addr, bool)
+	AllocSized(size uint64) (phys.Addr, bool)
 }
 
 // Table is one radix page table instance living in a simulated physical
@@ -46,10 +62,10 @@ type FrameSource interface {
 // model can charge each access through the cache hierarchy.
 //
 // Node contents are flat per-node arrays (entries[ni], parallel to
-// nodes[ni]) rather than a map keyed by PTE address, the layout of
-// mtl.radixTable: a walk descends by node index with plain array reads,
-// and demand-paging prefill never rehashes. Interior entries hold the
-// child's node index; leaf-level entries hold the mapped frame.
+// nodes[ni]) rather than a map keyed by PTE address: a walk descends by
+// node index with plain array reads, and demand-paging prefill never
+// rehashes. Interior entries hold the child's node index; leaf-level
+// entries hold the mapped frame.
 type Table struct {
 	Geo   Geometry
 	alloc FrameSource
@@ -58,8 +74,9 @@ type Table struct {
 	entries [][]uint64
 	// mapped counts present leaf entries.
 	mapped int
-	// walkBuf is the reusable access scratch behind WalkResult.Accesses.
-	walkBuf []phys.Addr
+	// walkBuf is the access scratch behind WalkResult.Accesses; inline,
+	// so a table costs no allocation beyond its nodes.
+	walkBuf [maxLevels]phys.Addr
 }
 
 // absentEntry marks a non-present entry. It can never collide with a
@@ -69,21 +86,24 @@ const absentEntry = ^uint64(0)
 
 // New allocates an empty table (and its root node) from alloc.
 func New(geo Geometry, alloc FrameSource) (*Table, error) {
-	t := &Table{Geo: geo, alloc: alloc, walkBuf: make([]phys.Addr, 0, geo.Levels)}
-	if _, ok := t.newNode(); !ok {
+	if geo.Levels < 1 || geo.Levels > maxLevels {
+		return nil, fmt.Errorf("pagetable: %d levels outside 1..%d", geo.Levels, maxLevels)
+	}
+	t := &Table{Geo: geo, alloc: alloc}
+	if _, ok := t.newNode(geo.rootBytes(), 1<<geo.RootBits); !ok {
 		return nil, fmt.Errorf("pagetable: out of memory allocating root")
 	}
 	return t, nil
 }
 
-// newNode allocates a table node with every entry absent and returns its
-// index.
-func (t *Table) newNode() (uint64, bool) {
-	base, ok := t.alloc.Alloc()
+// newNode allocates a table node of size bytes holding n entries, all
+// absent, and returns its index.
+func (t *Table) newNode(size uint64, n int) (uint64, bool) {
+	base, ok := t.alloc.AllocSized(size)
 	if !ok {
 		return 0, false
 	}
-	e := make([]uint64, 1<<indexBits)
+	e := make([]uint64, n)
 	for i := range e {
 		e[i] = absentEntry
 	}
@@ -96,12 +116,30 @@ func (t *Table) newNode() (uint64, bool) {
 func (t *Table) Root() phys.Addr { return t.nodes[0] }
 
 // NodeBytes returns the memory consumed by table nodes.
-func (t *Table) NodeBytes() uint64 { return uint64(len(t.nodes)) * phys.FrameSize }
+func (t *Table) NodeBytes() uint64 {
+	return t.Geo.rootBytes() + uint64(len(t.nodes)-1)*phys.FrameSize
+}
+
+// EachNode calls fn with the base and size of every table node, root
+// first, then in allocation order (teardown hands them back with it).
+func (t *Table) EachNode(fn func(base phys.Addr, size uint64)) {
+	for i, base := range t.nodes {
+		size := uint64(phys.FrameSize)
+		if i == 0 {
+			size = t.Geo.rootBytes()
+		}
+		fn(base, size)
+	}
+}
 
 // indexAt returns the radix index consumed at walk level k (0 = root).
 func (t *Table) indexAt(va uint64, k int) uint64 {
 	shift := t.Geo.PageShift + uint(indexBits*(t.Geo.Levels-1-k))
-	return (va >> shift) & (1<<indexBits - 1)
+	bits := uint(indexBits)
+	if k == 0 {
+		bits = t.Geo.RootBits
+	}
+	return (va >> shift) & (1<<bits - 1)
 }
 
 // prefixAt returns the address prefix that identifies the node entered
@@ -128,7 +166,7 @@ func (t *Table) Map(va uint64, frame phys.Addr) error {
 		idx := t.indexAt(va, k)
 		next := t.entries[ni][idx]
 		if next == absentEntry {
-			n, ok := t.newNode()
+			n, ok := t.newNode(phys.FrameSize, 1<<indexBits)
 			if !ok {
 				return fmt.Errorf("pagetable: out of memory allocating node")
 			}
@@ -212,7 +250,6 @@ type WalkResult struct {
 //vbi:hotpath
 func (t *Table) Walk(va uint64, pwc *tlb.PWC) WalkResult {
 	acc, pa, ok := t.walk(va, pwc, t.walkBuf[:0])
-	t.walkBuf = acc
 	res := WalkResult{Accesses: acc}
 	if ok {
 		res.Phys, res.OK = pa, true

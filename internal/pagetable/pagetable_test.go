@@ -9,9 +9,9 @@ import (
 	"vbi/internal/tlb"
 )
 
-func newTable(t *testing.T, geo Geometry) (*Table, *phys.FrameAllocator) {
+func newTable(t *testing.T, geo Geometry) (*Table, *phys.Bump) {
 	t.Helper()
-	alloc := phys.NewFrameAllocator(64 << 20)
+	alloc := phys.NewBump(0, 64<<20)
 	tbl, err := New(geo, alloc)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +21,7 @@ func newTable(t *testing.T, geo Geometry) (*Table, *phys.FrameAllocator) {
 
 func TestMapLookup4K(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	if err := tbl.Map(0x7f00_0000_1000, frame); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMapLookup4K(t *testing.T) {
 
 func TestMapLookup2M(t *testing.T) {
 	tbl, alloc := newTable(t, Page2M)
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	frame = frame.Frame() // 2M mapping demands 2M alignment in value space
 	frame = 0             // use 0 which is 2M-aligned
 	_ = alloc
@@ -61,7 +61,7 @@ func TestMapUnaligned(t *testing.T) {
 
 func TestWalkAccessCount4K(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	va := uint64(0x5555_5555_5000)
 	if err := tbl.Map(va, frame); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestWalkAccessCount2M(t *testing.T) {
 func TestWalkWithPWCSkipsLevels(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
 	pwc := tlb.NewPWC("PWC", 32)
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	va := uint64(0x5555_5555_5000)
 	if err := tbl.Map(va, frame); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestWalkWithPWCSkipsLevels(t *testing.T) {
 		t.Fatal("warm walk disagrees with cold walk")
 	}
 	// A neighbouring page under the same leaf node also walks in 1 access.
-	frame2, _ := alloc.Alloc()
+	frame2, _ := alloc.AllocSized(phys.FrameSize)
 	if err := tbl.Map(va+4096, frame2); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestWalkFault(t *testing.T) {
 
 func TestUnmap(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
-	frame, _ := alloc.Alloc()
+	frame, _ := alloc.AllocSized(phys.FrameSize)
 	va := uint64(0x1000)
 	tbl.Map(va, frame)
 	if !tbl.Unmap(va) {
@@ -154,7 +154,7 @@ func TestMapLookupProperty(t *testing.T) {
 	mapped := map[uint64]phys.Addr{}
 	f := func(vaRaw uint64) bool {
 		va := (vaRaw % (1 << 47)) &^ 4095
-		frame, ok := alloc.Alloc()
+		frame, ok := alloc.AllocSized(phys.FrameSize)
 		if !ok {
 			return true // allocator exhausted; vacuous
 		}
@@ -182,8 +182,8 @@ func TestMapLookupProperty(t *testing.T) {
 
 func TestRemapOverwrites(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
-	f1, _ := alloc.Alloc()
-	f2, _ := alloc.Alloc()
+	f1, _ := alloc.AllocSized(phys.FrameSize)
+	f2, _ := alloc.AllocSized(phys.FrameSize)
 	tbl.Map(0x1000, f1)
 	tbl.Map(0x1000, f2)
 	pa, ok := tbl.Lookup(0x1000)
@@ -196,7 +196,7 @@ func TestMappedPagesAndNodeBytes(t *testing.T) {
 	tbl, alloc := newTable(t, Page4K)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		frame, _ := alloc.Alloc()
+		frame, _ := alloc.AllocSized(phys.FrameSize)
 		tbl.Map(uint64(rng.Intn(1<<20))<<12, frame)
 	}
 	if got := tbl.MappedPages(); got == 0 || got > 100 {

@@ -23,7 +23,7 @@ type refTable struct {
 }
 
 func newRefTable(geo Geometry, alloc FrameSource) *refTable {
-	root, ok := alloc.Alloc()
+	root, ok := alloc.AllocSized(max(phys.FrameSize, uint64(entrySize)<<geo.RootBits))
 	if !ok {
 		panic("refTable: out of memory allocating root")
 	}
@@ -32,7 +32,11 @@ func newRefTable(geo Geometry, alloc FrameSource) *refTable {
 }
 
 func (r *refTable) indexAt(va uint64, k int) uint64 {
-	return (va >> (r.geo.PageShift + uint(indexBits*(r.geo.Levels-1-k)))) & (1<<indexBits - 1)
+	width := uint(indexBits)
+	if k == 0 {
+		width = r.geo.RootBits
+	}
+	return (va >> (r.geo.PageShift + uint(indexBits*(r.geo.Levels-1-k)))) % (1 << width)
 }
 
 func (r *refTable) prefixAt(va uint64, k int) uint64 {
@@ -45,7 +49,7 @@ func (r *refTable) Map(va uint64, frame phys.Addr) {
 		e := pteAddr(node, r.indexAt(va, k))
 		next, ok := r.pte[e]
 		if !ok {
-			n, okAlloc := r.alloc.Alloc()
+			n, okAlloc := r.alloc.AllocSized(phys.FrameSize)
 			if !okAlloc {
 				panic("refTable: out of memory allocating node")
 			}
@@ -202,11 +206,23 @@ func dataFrame(rng *rand.Rand, geo Geometry) phys.Addr {
 
 // randomVA draws a page-aligned address from a few clustered spans, so
 // sequences share upper-level nodes, refill holes and also reach far
-// unmapped space.
+// unmapped space. Addresses stay inside the span the geometry indexes.
 func randomVA(rng *rand.Rand, geo Geometry) uint64 {
 	bases := [...]uint64{0x10000000, 0x7f00_0000_0000, 0x5555_0000_0000, 0x2_0000_0000}
 	page := uint64(rng.Intn(1536))
-	return bases[rng.Intn(len(bases))] + page*geo.PageSize()
+	span := geo.PageShift + geo.RootBits + uint(indexBits*(geo.Levels-1))
+	return (bases[rng.Intn(len(bases))] + page*geo.PageSize()) % (1 << span)
+}
+
+// mtlGeometries are the region-indexed shapes the MTL builds (§5.2):
+// single-level tables from a one-entry root up to an 8-frame root, and
+// multi-level tables with narrow roots, including the uniform 4-level
+// ablation's.
+var mtlGeometries = []Geometry{
+	{Levels: 1, RootBits: 0}, {Levels: 1, RootBits: 5},
+	{Levels: 1, RootBits: 10}, {Levels: 1, RootBits: 12},
+	{Levels: 2, RootBits: 6}, {Levels: 3, RootBits: 3},
+	{Levels: 4, RootBits: 0}, {Levels: 4, RootBits: 8},
 }
 
 func requireSameWalk(t *testing.T, what string, got, want WalkResult) {
@@ -227,16 +243,17 @@ func requireSameStats(t *testing.T, what string, got, want *tlb.PWC) {
 // TestTableMatchesMapReference drives the flat table and the map-backed
 // reference through the same seeded Map/Unmap/remap sequence and requires
 // identical lookups, walks (with and without a PWC, including walks that
-// fault on a hole), PWC statistics, node allocation and leaf counts.
+// fault on a hole), PWC statistics, node allocation and leaf counts, for
+// the conventional geometries and every shape the MTL builds.
 func TestTableMatchesMapReference(t *testing.T) {
-	for _, geo := range []Geometry{Page4K, Page2M} {
+	for _, geo := range append([]Geometry{Page4K, Page2M}, mtlGeometries...) {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			flat, err := New(geo, phys.NewFrameAllocator(64<<20))
+			flat, err := New(geo, phys.NewBump(0, 64<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefTable(geo, phys.NewFrameAllocator(64<<20))
+			ref := newRefTable(geo, phys.NewBump(0, 64<<20))
 			flatPWC, refPWC := tlb.NewPWC("PWC", 8), tlb.NewPWC("PWC", 8)
 			for i := 0; i < 3000; i++ {
 				va := randomVA(rng, geo)
@@ -249,7 +266,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 					ref.Map(va, frame)
 				case op < 7:
 					if got, want := flat.Unmap(va), ref.Unmap(va); got != want {
-						t.Fatalf("geo %d seed %d op %d: Unmap(%#x) = %v, reference %v", geo.Levels, seed, i, va, got, want)
+						t.Fatalf("geo %+v seed %d op %d: Unmap(%#x) = %v, reference %v", geo, seed, i, va, got, want)
 					}
 				default:
 					va += uint64(rng.Int63n(int64(geo.PageSize())))
@@ -264,10 +281,12 @@ func TestTableMatchesMapReference(t *testing.T) {
 				}
 			}
 			if !slices.Equal(flat.nodes, ref.nodes) || flat.Root() != ref.root {
-				t.Fatalf("geo %d seed %d: node allocation diverged", geo.Levels, seed)
+				t.Fatalf("geo %+v seed %d: node allocation diverged", geo, seed)
 			}
-			if got, want := flat.MappedPages(), ref.MappedPages(); got != want || got == 0 {
-				t.Fatalf("geo %d seed %d: MappedPages = %d, reference %d", geo.Levels, seed, got, want)
+			// A one-slot table may legitimately end empty; wider ones may not.
+			oneSlot := geo.Levels == 1 && geo.RootBits == 0
+			if got, want := flat.MappedPages(), ref.MappedPages(); got != want || (got == 0 && !oneSlot) {
+				t.Fatalf("geo %+v seed %d: MappedPages = %d, reference %d", geo, seed, got, want)
 			}
 		}
 	}
@@ -284,17 +303,17 @@ func TestNestedWalkMatchesMapReference(t *testing.T) {
 		for _, cfg := range []pwcs{{false, false}, {true, false}, {true, true}} {
 			rng := rand.New(rand.NewSource(int64(geo.Levels)))
 			var walks, faults int
-			guest, err := New(geo, phys.NewFrameAllocator(64<<20))
+			guest, err := New(geo, phys.NewBump(0, 64<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
-			host, err := New(geo, phys.NewFrameAllocator(64<<20))
+			host, err := New(geo, phys.NewBump(0, 64<<20))
 			if err != nil {
 				t.Fatal(err)
 			}
 			flat := &NestedTable{Guest: guest, Host: host}
-			refG := newRefTable(geo, phys.NewFrameAllocator(64<<20))
-			refH := newRefTable(geo, phys.NewFrameAllocator(64<<20))
+			refG := newRefTable(geo, phys.NewBump(0, 64<<20))
+			refH := newRefTable(geo, phys.NewBump(0, 64<<20))
 			var flatHost, refHost, flatGuest, refGuest *tlb.PWC
 			if cfg.host {
 				flatHost, refHost = tlb.NewPWC("PWC", 8), tlb.NewPWC("PWC", 8)

@@ -52,15 +52,3 @@ func BenchmarkBuddyReserveFill(b *testing.B) {
 		bd.Unreserve(owner)
 	}
 }
-
-func BenchmarkFrameAllocator(b *testing.B) {
-	f := NewFrameAllocator(1 << 30)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a, ok := f.Alloc()
-		if !ok {
-			b.Fatal("exhausted")
-		}
-		f.Free(a)
-	}
-}

@@ -1,8 +1,8 @@
 // Package phys models the physical memory space of the simulated machine and
 // provides the allocators the Memory Translation Layer builds on:
 //
-//   - a simple 4 KB frame allocator (the base allocation mechanism of
-//     §4.5.2, also used by the conventional-VM OS model), and
+//   - a bump allocator, which the conventional-VM OS models and Enigma
+//     draw page-table nodes and frames from, and
 //   - a buddy allocator with per-VB reservations implementing the
 //     early-reservation mechanism of §5.3, including the three-level
 //     allocation priority (blocks reserved for the requesting VB, then
@@ -36,54 +36,30 @@ func (a Addr) String() string {
 	return fmt.Sprintf("phys(%#x)", uint64(a))
 }
 
-// FrameAllocator hands out 4 KB physical frames from a fixed-capacity pool.
-// It is the base memory allocation mechanism (§4.5.2) and is also used by
-// the OS model of conventional baselines. Frames are handed out in address
-// order from a free list so behaviour is deterministic.
-type FrameAllocator struct {
-	capacity uint64 // bytes
-	next     Addr   // bump pointer for never-used frames
-	freed    []Addr // LIFO of returned frames
-	inUse    uint64 // frames currently allocated
+// Bump is a bump allocator over a physical range. The conventional OS
+// models never free during a run (the paper's workload regions run to
+// completion), so bump allocation keeps them minimal and deterministic. It
+// hands out both page-table nodes and page-sized frames.
+type Bump struct {
+	next  Addr
+	limit Addr
 }
 
-// NewFrameAllocator returns an allocator over capacity bytes of physical
-// memory. Capacity is rounded down to a whole number of frames.
-func NewFrameAllocator(capacity uint64) *FrameAllocator {
-	return &FrameAllocator{capacity: capacity &^ (FrameSize - 1)}
+// NewBump allocates from [base, base+size).
+func NewBump(base Addr, size uint64) *Bump {
+	return &Bump{next: base, limit: base + Addr(size)}
 }
 
-// Capacity returns the total pool size in bytes.
-func (f *FrameAllocator) Capacity() uint64 { return f.capacity }
-
-// FreeBytes returns the number of unallocated bytes.
-func (f *FrameAllocator) FreeBytes() uint64 {
-	return f.capacity - f.inUse*FrameSize
-}
-
-// Alloc returns a free frame, or ok=false when the pool is exhausted.
-func (f *FrameAllocator) Alloc() (Addr, bool) {
-	if n := len(f.freed); n > 0 {
-		a := f.freed[n-1]
-		f.freed = f.freed[:n-1]
-		f.inUse++
-		return a, true
+// AllocSized returns a size-aligned block of size bytes (satisfies
+// pagetable.FrameSource).
+func (b *Bump) AllocSized(size uint64) (Addr, bool) {
+	aligned := (b.next + Addr(size-1)) &^ Addr(size-1)
+	if aligned+Addr(size) > b.limit {
+		return NoAddr, false
 	}
-	if uint64(f.next)+FrameSize <= f.capacity {
-		a := f.next
-		f.next += FrameSize
-		f.inUse++
-		return a, true
-	}
-	return NoAddr, false
+	b.next = aligned + Addr(size)
+	return aligned, true
 }
 
-// Free returns a frame to the pool. It panics on a non-frame-aligned
-// address, which always indicates a caller bug.
-func (f *FrameAllocator) Free(a Addr) {
-	if a != a.Frame() {
-		panic(fmt.Sprintf("phys: Free of unaligned address %v", a))
-	}
-	f.freed = append(f.freed, a)
-	f.inUse--
-}
+// Used returns the bytes consumed so far.
+func (b *Bump) Used(base Addr) uint64 { return uint64(b.next - base) }

@@ -2,63 +2,20 @@ package phys
 
 import "testing"
 
-func TestFrameAllocatorBasics(t *testing.T) {
-	f := NewFrameAllocator(4 * FrameSize)
-	if f.Capacity() != 4*FrameSize {
-		t.Fatalf("capacity = %d", f.Capacity())
+func TestBumpAllocator(t *testing.T) {
+	b := NewBump(0, 1<<20)
+	a1, ok := b.AllocSized(4096)
+	if !ok || a1 != 0 {
+		t.Fatalf("first alloc = %v,%v", a1, ok)
 	}
-	seen := map[Addr]bool{}
-	for i := 0; i < 4; i++ {
-		a, ok := f.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		if seen[a] {
-			t.Fatalf("frame %v handed out twice", a)
-		}
-		if a != a.Frame() {
-			t.Fatalf("frame %v not aligned", a)
-		}
-		seen[a] = true
+	a2, ok := b.AllocSized(2 << 20)
+	if ok {
+		t.Fatalf("oversized alloc succeeded: %v", a2)
 	}
-	if _, ok := f.Alloc(); ok {
-		t.Fatal("alloc succeeded past capacity")
+	a3, ok := b.AllocSized(64 << 10)
+	if !ok || uint64(a3)%(64<<10) != 0 {
+		t.Fatalf("aligned alloc = %v,%v", a3, ok)
 	}
-	if f.FreeBytes() != 0 {
-		t.Fatalf("FreeBytes = %d, want 0", f.FreeBytes())
-	}
-}
-
-func TestFrameAllocatorReuse(t *testing.T) {
-	f := NewFrameAllocator(2 * FrameSize)
-	a, _ := f.Alloc()
-	bAddr, _ := f.Alloc()
-	f.Free(a)
-	c, ok := f.Alloc()
-	if !ok || c != a {
-		t.Fatalf("freed frame not reused: got %v, want %v", c, a)
-	}
-	f.Free(bAddr)
-	f.Free(c)
-	if f.FreeBytes() != 2*FrameSize {
-		t.Fatalf("FreeBytes = %d", f.FreeBytes())
-	}
-}
-
-func TestFrameAllocatorRoundsDown(t *testing.T) {
-	f := NewFrameAllocator(FrameSize + 123)
-	if f.Capacity() != FrameSize {
-		t.Fatalf("capacity = %d, want %d", f.Capacity(), FrameSize)
-	}
-}
-
-func TestFrameFreePanicsOnUnaligned(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewFrameAllocator(FrameSize).Free(Addr(12))
 }
 
 func TestAddrHelpers(t *testing.T) {

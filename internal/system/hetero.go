@@ -114,13 +114,8 @@ const (
 	// reference counts so the policy converges within a run; the per-line
 	// cost below still charges the bandwidth.
 	migCap     = 256 << 20
-	migPenalty = 2 // cycles of interference per migrated line
-	// migAmortize scales the charged migration interference to the
-	// simulated run length: the paper's 1B-instruction windows amortize
-	// one-time migrations over ~100x more references than our runs, so
-	// charging full bandwidth into the short window would double-count.
-	migAmortize = 16
-	fastFill    = 0.90 // usable fraction of the fast zone
+	migPenalty = 2    // cycles of interference per migrated line
+	fastFill   = 0.90 // usable fraction of the fast zone
 	// stickiness favours resident chunks during re-ranking so uniform
 	// densities do not cause migration churn.
 	stickiness = 1.3

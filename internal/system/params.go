@@ -43,7 +43,11 @@ type Params struct {
 
 	// Heterogeneous-memory policy (§7.3).
 	HeteroEpochRefs int `json:"hetero_epoch_refs,omitempty"`
-	MigAmortize     int `json:"mig_amortize,omitempty"`
+	// MigAmortize scales the charged migration interference to the
+	// simulated run length: the paper's 1B-instruction windows amortize
+	// one-time migrations over ~100x more references than our runs, so
+	// charging full bandwidth into the short window would double-count.
+	MigAmortize int `json:"mig_amortize,omitempty"`
 }
 
 // paramField maps a sweepable parameter name to its Params field. The
@@ -94,7 +98,7 @@ func DefaultParams() Params {
 		HostFaultCost: HostFaultCost, SwapFaultCost: SwapFaultCost,
 		MCAllocCost: MCAllocCost, MTLLookupMin: MTLLookupMin,
 		CTCLookupLat: CTCLookupLat, MTLCacheLat: MTLCacheLat,
-		HeteroEpochRefs: 25_000, MigAmortize: migAmortize,
+		HeteroEpochRefs: 25_000, MigAmortize: 16,
 	}
 }
 
