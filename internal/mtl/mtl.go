@@ -143,9 +143,6 @@ type MTL struct {
 
 // vbState is the MTL-internal VIT entry (§4.5.1) plus translation state.
 type vbState struct {
-	// m is the owning MTL: the VB is its table's node source
-	// (AllocSized), so tables allocate from the VB's home zone.
-	m        *MTL
 	id       addr.VBUID
 	props    prop.Props
 	refCount int
@@ -180,6 +177,10 @@ type vbState struct {
 	// heterogeneous-memory policies (§7.3).
 	accessCount uint64
 	writeCount  uint64
+
+	// m is the owning MTL: the VB is its table's node source
+	// (AllocSized), so tables allocate from the VB's home zone.
+	m *MTL
 }
 
 // regionTab is the per-VB region table: a dense slice keyed by region

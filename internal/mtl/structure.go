@@ -89,14 +89,20 @@ func (m *MTL) newPageTable(vb *vbState) error {
 	return nil
 }
 
-// AllocSized allocates a table node of size bytes from the VB's home
-// zone, falling back to any zone with space (satisfies
+// AllocSized allocates a table node of size bytes for the VB (satisfies
 // pagetable.FrameSource).
 func (vb *vbState) AllocSized(size uint64) (phys.Addr, bool) {
 	order, ok := phys.OrderFor(size)
 	if !ok {
 		return phys.NoAddr, false
 	}
+	return vb.alloc(order)
+}
+
+// alloc allocates a block of the given buddy order from the VB's home
+// zone, falling back to any zone with space (the buddy's own three-level
+// priority handles reservations within a zone).
+func (vb *vbState) alloc(order int) (phys.Addr, bool) {
 	z := vb.m.zones[vb.zone]
 	if local, ok := z.Buddy.Alloc(vb.id, order); ok {
 		return z.Base + local, true
@@ -217,11 +223,9 @@ func (vb *vbState) blockIndex(region uint64) uint64 {
 	return region
 }
 
-// allocRegionFrame grabs one 4 KB frame for the VB from its home zone,
-// falling back to other zones (the buddy's own three-level priority
-// handles reservations within a zone).
+// allocRegionFrame grabs one 4 KB frame for the VB.
 func (m *MTL) allocRegionFrame(vb *vbState) (phys.Addr, error) {
-	if frame, ok := vb.AllocSized(RegionSize); ok {
+	if frame, ok := vb.alloc(0); ok {
 		return frame, nil
 	}
 	return phys.NoAddr, fmt.Errorf("mtl: out of physical memory")
