@@ -74,8 +74,9 @@ type Table struct {
 	entries [][]uint64
 	// mapped counts present leaf entries.
 	mapped int
-	// rootMask selects the root's index bits (2^RootBits - 1).
-	rootMask uint64
+	// masks[k] selects the index bits consumed at level k: RootBits at
+	// the root, 9 below it.
+	masks [maxLevels]uint64
 	// walkBuf is the access scratch behind WalkResult.Accesses; inline,
 	// so a table costs no allocation beyond its nodes.
 	walkBuf [maxLevels]phys.Addr
@@ -91,7 +92,11 @@ func New(geo Geometry, alloc FrameSource) (*Table, error) {
 	if geo.Levels < 1 || geo.Levels > maxLevels {
 		return nil, fmt.Errorf("pagetable: %d levels outside 1..%d", geo.Levels, maxLevels)
 	}
-	t := &Table{Geo: geo, alloc: alloc, rootMask: 1<<geo.RootBits - 1}
+	t := &Table{Geo: geo, alloc: alloc}
+	for k := range t.masks {
+		t.masks[k] = 1<<indexBits - 1
+	}
+	t.masks[0] = 1<<geo.RootBits - 1
 	if _, ok := t.newNode(geo.rootBytes(), 1<<geo.RootBits); !ok {
 		return nil, fmt.Errorf("pagetable: out of memory allocating root")
 	}
@@ -137,11 +142,7 @@ func (t *Table) EachNode(fn func(base phys.Addr, size uint64)) {
 // indexAt returns the radix index consumed at walk level k (0 = root).
 func (t *Table) indexAt(va uint64, k int) uint64 {
 	shift := t.Geo.PageShift + uint(indexBits*(t.Geo.Levels-1-k))
-	mask := uint64(1<<indexBits - 1)
-	if k == 0 {
-		mask = t.rootMask
-	}
-	return (va >> shift) & mask
+	return (va >> shift) & t.masks[k]
 }
 
 // prefixAt returns the address prefix that identifies the node entered
