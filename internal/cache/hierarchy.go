@@ -161,8 +161,10 @@ func (h *Hierarchy) WalkerAccess(line uint64) (latency uint64, missed bool, writ
 func (h *Hierarchy) fillL1(line uint64, write bool, wbs []uint64) []uint64 {
 	if v := h.L1.Insert(line, write); v.Valid && v.Dirty {
 		// Dirty L1 victim merges into L2; L2 should contain it
-		// (mostly-inclusive), but insert if not.
-		if !h.L2.Lookup(v.Line, true) {
+		// (mostly-inclusive), but insert if not. Like spillToLLC, the
+		// merge is bookkeeping, not a demand access, so it leaves the
+		// L2's hit/miss counters alone.
+		if !h.L2.MarkDirty(v.Line) {
 			if iv := h.L2.Insert(v.Line, true); iv.Valid && iv.Dirty {
 				wbs = h.spillToLLC(iv.Line, wbs)
 			}

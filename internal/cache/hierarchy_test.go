@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func newTestHierarchy() *Hierarchy {
 	l1 := New("L1", 1<<10, 8) // 2 sets
@@ -186,5 +189,31 @@ func TestFillColdWriteNoLLCDemandHits(t *testing.T) {
 	}
 	if h.LLC.Stats.Hits != hits && h.LLC.Stats.Hits == hits+1 {
 		t.Fatalf("demand hit not counted")
+	}
+}
+
+// Demand probes are conserved down the hierarchy: on a stream of Access and
+// Fill calls, every L1 miss probes L2 exactly once and every L2 miss probes
+// the LLC exactly once. Merging a dirty victim into the next level is
+// bookkeeping and must not show up as a demand hit or miss there.
+func TestDemandProbesConserved(t *testing.T) {
+	h := newTestHierarchy()
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 50000; i++ {
+		line := uint64(rng.Intn(1024)) * LineSize
+		write := rng.Intn(3) == 0
+		if r := h.Access(line, write); r.MissedLLC {
+			h.Fill(line, write)
+		}
+	}
+	l1Writebacks := h.L1.Stats.Writebacks
+	if l1Writebacks == 0 {
+		t.Fatal("stream never wrote back a dirty L1 victim")
+	}
+	if got, want := h.L2.Stats.Hits+h.L2.Stats.Misses, h.L1.Stats.Misses; got != want {
+		t.Errorf("L2 hits+misses = %d, want L1 misses = %d (L1 writebacks %d)", got, want, l1Writebacks)
+	}
+	if got, want := h.LLC.Stats.Hits+h.LLC.Stats.Misses, h.L2.Stats.Misses; got != want {
+		t.Errorf("LLC hits+misses = %d, want L2 misses = %d", got, want)
 	}
 }

@@ -213,7 +213,7 @@ func (h *refHierarchy) WalkerAccess(line uint64) (uint64, bool, []uint64) {
 
 func (h *refHierarchy) fillL1(line uint64, write bool, wbs []uint64) []uint64 {
 	if v := h.L1.Insert(line, write); v.Valid && v.Dirty {
-		if !h.L2.Lookup(v.Line, true) {
+		if !h.L2.MarkDirty(v.Line) {
 			if iv := h.L2.Insert(v.Line, true); iv.Valid && iv.Dirty {
 				wbs = h.spillToLLC(iv.Line, wbs)
 			}

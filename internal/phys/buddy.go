@@ -48,6 +48,29 @@ const (
 	metaOrder uint8 = 0x1f
 )
 
+// chunkShift sizes the chunks the per-frame records are stored in: 2^14
+// frames, 64 MB of simulated memory and 48 KB of records. A chunk is
+// allocated by the first write into it, so the records cost what a run
+// touches, not what the machine has. Smaller chunks waste less on partly
+// touched ranges but lengthen the directory and leave fewer AllocAt
+// searches inside one chunk. Peak heap of the vbiperf workloads
+// quad-bundles / translation-bound / cache-resident / hetero-migration was
+// 13.9 / 13.3 / 4.1 / 10.0 MB at 2^12 frames, 15.0 / 13.5 / 4.4 / 10.1 MB at
+// 2^14 and 18.2 / 14.1 / 5.6 / 10.5 MB at 2^16.
+const (
+	chunkShift  = 14
+	chunkFrames = 1 << chunkShift
+	chunkMask   = chunkFrames - 1
+)
+
+// frameChunk holds the records of chunkFrames consecutive frames: meta is
+// the block record of each frame a block starts at, owner the interned
+// owner index of that block (meaningful only where meta has metaLive).
+type frameChunk struct {
+	meta  [chunkFrames]uint8
+	owner [chunkFrames]uint16
+}
+
 // bitset is a fixed-size bit vector over block indexes (frame >> order).
 type bitset []uint64
 
@@ -84,12 +107,12 @@ func (bs bitset) nextSet(from int) int {
 // reserved for other VBs (stealing, used only under memory pressure by
 // construction of the priority order).
 //
-// Book-keeping is flat: block existence/state lives in a per-frame
-// metadata array, and the free blocks of each order are tracked in
-// per-order bitmaps searched lowest-base-first with find-first-set. A
-// per-order hint (a lower bound below which no bit is set) makes the
-// first-fit scan effectively O(1) under the allocator's own first-fit
-// placement. Placement is identical to the map-backed implementation this
+// Book-keeping is flat: block existence/state lives in per-frame records,
+// kept in lazily allocated chunks of frames, and the free blocks of each
+// order are tracked in per-order bitmaps searched lowest-base-first with
+// find-first-set. A per-order hint (a lower bound below which no bit is
+// set) makes the first-fit scan effectively O(1) under the allocator's own
+// first-fit placement. Placement is identical to the map-backed implementation this
 // replaced — both pick the lowest base at the smallest sufficient order.
 // The one map left, ownerIdx, interns owners to small indexes; Alloc,
 // Reserve, Unreserve and LargestFreeOrder read it once per call, and AllocAt
@@ -102,13 +125,11 @@ func (bs bitset) nextSet(from int) int {
 type Buddy struct {
 	capacity uint64
 	nframes  uint64
-	// meta holds the block record of the frame each block starts at.
-	meta []uint8
-	// ownerOf is the interned owner index of the block starting at each
-	// frame (meaningful only where meta has metaLive). Index 0 is the zero
+	// chunks[fi>>chunkShift] holds the records of frame fi. A nil chunk
+	// reads as all zero: no block starts in it. Owner index 0 is the zero
 	// Owner ("unreserved"); an allocated block keeps the index of the
-	// reservation it was carved from.
-	ownerOf []uint16
+	// reservation it was carved from. Chunks are never freed.
+	chunks []*frameChunk
 	// ownerIdx interns distinct reservation owners to indexes from 1.
 	ownerIdx map[Owner]uint16
 
@@ -125,9 +146,9 @@ type Buddy struct {
 	// oi, for per-owner emptiness tests without a per-owner index.
 	cntResOwn [][MaxOrder + 1]int32
 	// reservedAt[oi] lists the blocks Reserve tagged for owner index oi
-	// since its last Unreserve. Every block whose ownerOf is oi, free or
-	// allocated, lies inside these ranges, and every block inside them has
-	// ownerOf oi, so Unreserve finds oi's blocks by walking them.
+	// since its last Unreserve. Every block whose owner record is oi, free
+	// or allocated, lies inside these ranges, and every block inside them
+	// has owner record oi, so Unreserve finds oi's blocks by walking them.
 	reservedAt [][]blockKey
 
 	freeBytes     uint64
@@ -143,8 +164,7 @@ func NewBuddy(capacity uint64) *Buddy {
 	b := &Buddy{
 		capacity:   capacity,
 		nframes:    nframes,
-		meta:       make([]uint8, nframes),
-		ownerOf:    make([]uint16, nframes),
+		chunks:     make([]*frameChunk, (nframes+chunkMask)>>chunkShift),
 		ownerIdx:   make(map[Owner]uint16),
 		cntResOwn:  make([][MaxOrder + 1]int32, 1),
 		reservedAt: make([][]blockKey, 1),
@@ -196,11 +216,56 @@ func (b *Buddy) internOwner(o Owner) uint16 {
 	return i
 }
 
+// metaOf returns the block record of frame fi.
+func (b *Buddy) metaOf(fi uint64) uint8 {
+	if c := b.chunks[fi>>chunkShift]; c != nil {
+		return c.meta[fi&chunkMask]
+	}
+	return 0
+}
+
+// ownerAt returns the owner index recorded at frame fi.
+func (b *Buddy) ownerAt(fi uint64) uint16 {
+	if c := b.chunks[fi>>chunkShift]; c != nil {
+		return c.owner[fi&chunkMask]
+	}
+	return 0
+}
+
+// chunkOf returns the chunk holding frame fi's record for writing,
+// materializing it on first use.
+func (b *Buddy) chunkOf(fi uint64) *frameChunk {
+	if c := b.chunks[fi>>chunkShift]; c != nil {
+		return c
+	}
+	return b.newChunk(fi >> chunkShift)
+}
+
+// newChunk allocates the records of chunk ci. It stays out of line, off
+// the hot path's inlined accessors. Chunks are never freed, so it
+// allocates at most one chunk per chunkFrames (2^14) frames of capacity
+// over the allocator's lifetime.
+//
+//go:noinline
+func (b *Buddy) newChunk(ci uint64) *frameChunk {
+	c := new(frameChunk)
+	b.chunks[ci] = c
+	return c
+}
+
 //vbi:hotpath
 func (b *Buddy) addFree(base Addr, order int, oi uint16) {
 	fi := uint64(base) >> FrameShift
-	b.meta[fi] = metaLive | metaFree | uint8(order)
-	b.ownerOf[fi] = oi
+	b.addFreeIn(b.chunkOf(fi), fi, order, oi)
+}
+
+// addFreeIn records a free block starting at frame fi, whose record lives
+// in chunk c.
+//
+//vbi:hotpath
+func (b *Buddy) addFreeIn(c *frameChunk, fi uint64, order int, oi uint16) {
+	c.meta[fi&chunkMask] = metaLive | metaFree | uint8(order)
+	c.owner[fi&chunkMask] = oi
 	bi := int(fi >> uint(order))
 	if oi == 0 {
 		b.freeUnres[order].set(bi)
@@ -226,8 +291,16 @@ func (b *Buddy) addFree(base Addr, order int, oi uint16) {
 //vbi:hotpath
 func (b *Buddy) removeFree(base Addr, order int) {
 	fi := uint64(base) >> FrameShift
-	oi := b.ownerOf[fi]
-	b.meta[fi] = 0
+	b.removeFreeIn(b.chunks[fi>>chunkShift], fi, order)
+}
+
+// removeFreeIn is removeFree for the block starting at frame fi, whose
+// record lives in chunk c.
+//
+//vbi:hotpath
+func (b *Buddy) removeFreeIn(c *frameChunk, fi uint64, order int) {
+	oi := c.owner[fi&chunkMask]
+	c.meta[fi&chunkMask] = 0
 	bi := int(fi >> uint(order))
 	if oi == 0 {
 		b.freeUnres[order].clear(bi)
@@ -244,14 +317,22 @@ func (b *Buddy) removeFree(base Addr, order int) {
 // order-"to" block is available, tagging all pieces with the same owner
 // index. It returns the base of the order-"to" block (always == base).
 //
+// Halves of order chunkShift and up start chunks of their own; every
+// smaller piece shares the block's chunk, which is read once.
+//
 //vbi:hotpath
 func (b *Buddy) splitTo(base Addr, from, to int, oi uint16) Addr {
-	b.removeFree(base, from)
+	fi := uint64(base) >> FrameShift
+	c := b.chunks[fi>>chunkShift]
+	b.removeFreeIn(c, fi, from)
 	for o := from; o > to; o-- {
-		half := OrderBytes(o - 1)
-		b.addFree(base+Addr(half), o-1, oi)
+		if o > chunkShift {
+			b.addFree(base+Addr(OrderBytes(o-1)), o-1, oi)
+		} else {
+			b.addFreeIn(c, fi+1<<(o-1), o-1, oi)
+		}
 	}
-	b.addFree(base, to, oi)
+	b.addFreeIn(c, fi, to, oi)
 	return base
 }
 
@@ -285,7 +366,7 @@ func (b *Buddy) firstRes(order int, target uint16, equal bool) (Addr, uint16, bo
 		b.hintRes[order] = bi
 	}
 	for bi >= 0 {
-		oi := b.ownerOf[uint64(bi)<<uint(order)]
+		oi := b.ownerAt(uint64(bi) << uint(order))
 		if (oi == target) == equal {
 			return Addr(uint64(bi) << uint(FrameShift+order)), oi, true
 		}
@@ -360,10 +441,18 @@ func (b *Buddy) Alloc(vb Owner, order int) (Addr, bool) {
 //
 //vbi:hotpath
 func (b *Buddy) markAllocated(base Addr, order int, oi uint16) {
-	b.removeFree(base, order)
 	fi := uint64(base) >> FrameShift
-	b.meta[fi] = metaLive | uint8(order)
-	b.ownerOf[fi] = oi
+	b.markAllocatedIn(b.chunks[fi>>chunkShift], fi, order, oi)
+}
+
+// markAllocatedIn is markAllocated for the block starting at frame fi,
+// whose record lives in chunk c.
+//
+//vbi:hotpath
+func (b *Buddy) markAllocatedIn(c *frameChunk, fi uint64, order int, oi uint16) {
+	b.removeFreeIn(c, fi, order)
+	c.meta[fi&chunkMask] = metaLive | uint8(order)
+	c.owner[fi&chunkMask] = oi
 	b.freeBytes -= OrderBytes(order)
 }
 
@@ -376,50 +465,81 @@ func (b *Buddy) markAllocated(base Addr, order int, oi uint16) {
 //
 //vbi:hotpath
 func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
-	if order < 0 || order > MaxOrder || uint64(base)%OrderBytes(order) != 0 {
+	if order < 0 || order > MaxOrder || uint64(base)&(OrderBytes(order)-1) != 0 {
 		return false
 	}
-	if uint64(base)>>FrameShift >= b.nframes {
+	fi := uint64(base) >> FrameShift
+	if fi >= b.nframes {
 		return false
 	}
 	// Find the free block containing [base, base+2^order): the smallest
-	// enclosing aligned block that exists and is free.
-	for o := order; o <= MaxOrder; o++ {
-		enclosing := base &^ Addr(OrderBytes(o)-1)
-		fi := uint64(enclosing) >> FrameShift
-		m := b.meta[fi]
+	// enclosing aligned block that exists and is free. Up to order
+	// chunkShift every candidate starts in base's own chunk, read once; a
+	// nil chunk holds no block start, so the search skips to the larger
+	// orders, whose candidates each start a chunk.
+	o := order
+	c := b.chunks[fi>>chunkShift]
+	if c == nil {
+		o = max(o, chunkShift+1)
+	}
+	for ; o <= MaxOrder; o++ {
+		efi := fi &^ (1<<uint(o) - 1)
+		ec := c
+		if o > chunkShift {
+			if ec = b.chunks[efi>>chunkShift]; ec == nil {
+				continue
+			}
+		}
+		m := ec.meta[efi&chunkMask]
 		if m&metaLive == 0 || int(m&metaOrder) != o {
 			continue
 		}
 		if m&metaFree == 0 {
 			return false // region (or part of it) already allocated
 		}
-		oi := b.ownerOf[fi]
-		b.splitToAt(enclosing, o, base, order, oi)
-		b.markAllocated(base, order, oi)
+		oi := ec.owner[efi&chunkMask]
+		c = b.splitToAt(ec, efi, o, fi, order, oi)
+		b.markAllocatedIn(c, fi, order, oi)
 		return true
 	}
 	return false
 }
 
-// splitToAt splits the free block (blockBase, from, oi) down to an
-// order-"to" block at exactly target, keeping every split-off sibling free
-// with the same owner index.
+// splitToAt splits the free block (frame cur, order from, owner index oi),
+// whose record lives in chunk c, down to an order-"to" block at exactly
+// frame target, keeping every split-off sibling free with the same owner
+// index. It returns the chunk holding target's record.
+//
+// Halves of order chunkShift and up start chunks of their own; every
+// smaller piece lies in target's chunk, which is read once.
 //
 //vbi:hotpath
-func (b *Buddy) splitToAt(blockBase Addr, from int, target Addr, to int, oi uint16) {
-	b.removeFree(blockBase, from)
-	cur := blockBase
-	for o := from; o > to; o-- {
-		half := Addr(OrderBytes(o - 1))
+func (b *Buddy) splitToAt(c *frameChunk, cur uint64, from int, target uint64, to int, oi uint16) *frameChunk {
+	b.removeFreeIn(c, cur, from)
+	o := from
+	if o > chunkShift {
+		for ; o > to && o > chunkShift; o-- {
+			half := uint64(1) << uint(o-1)
+			if target >= cur+half {
+				b.addFree(Addr(cur<<FrameShift), o-1, oi) // target in upper half; lower stays free
+				cur += half
+			} else {
+				b.addFree(Addr((cur+half)<<FrameShift), o-1, oi)
+			}
+		}
+		c = b.chunkOf(cur)
+	}
+	for ; o > to; o-- {
+		half := uint64(1) << uint(o-1)
 		if target >= cur+half {
-			b.addFree(cur, o-1, oi) // target in upper half; lower stays free
+			b.addFreeIn(c, cur, o-1, oi)
 			cur += half
 		} else {
-			b.addFree(cur+half, o-1, oi)
+			b.addFreeIn(c, cur+half, o-1, oi)
 		}
 	}
-	b.addFree(cur, to, oi)
+	b.addFreeIn(c, cur, to, oi)
+	return c
 }
 
 // Reserve carves an order-sized contiguous region out of *unreserved* free
@@ -451,15 +571,16 @@ func (b *Buddy) Free(base Addr, order int) {
 	fi := uint64(base) >> FrameShift
 	var m uint8
 	if order >= 0 && order <= MaxOrder && fi < b.nframes {
-		m = b.meta[fi]
+		m = b.metaOf(fi)
 	}
 	if m&metaLive == 0 || int(m&metaOrder) != order || m&metaFree != 0 {
 		//vbi:allow hotalloc panic formatting on a caller bug, never reached by a correct simulation
 		panic(fmt.Sprintf("phys: Free of non-allocated block %v order %d", base, order))
 	}
-	b.meta[fi] = 0
+	c := b.chunks[fi>>chunkShift]
+	c.meta[fi&chunkMask] = 0
 	b.freeBytes += OrderBytes(order)
-	b.freeAndMerge(base, order, b.ownerOf[fi])
+	b.freeAndMerge(base, order, c.owner[fi&chunkMask])
 }
 
 // freeAndMerge adds the free block (base, order) with owner index oi,
@@ -473,14 +594,18 @@ func (b *Buddy) freeAndMerge(base Addr, order int, oi uint16) {
 		if bfi >= b.nframes {
 			break
 		}
-		m := b.meta[bfi]
+		c := b.chunks[bfi>>chunkShift]
+		if c == nil {
+			break
+		}
+		m := c.meta[bfi&chunkMask]
 		if m&metaLive == 0 || m&metaFree == 0 || int(m&metaOrder) != order {
 			break
 		}
-		if b.ownerOf[bfi] != oi {
+		if c.owner[bfi&chunkMask] != oi {
 			break
 		}
-		b.removeFree(buddy, order)
+		b.removeFreeIn(c, bfi, order)
 		if buddy < base {
 			base = buddy
 		}
@@ -516,7 +641,7 @@ func (b *Buddy) Unreserve(vb Owner) {
 		}
 		for at < end {
 			fi := uint64(at) >> FrameShift
-			m := b.meta[fi]
+			m := b.metaOf(fi)
 			if m&metaLive == 0 {
 				panic(fmt.Sprintf("phys: no block starts at %v inside %v's reserved ranges", at, vb))
 			}
@@ -524,7 +649,7 @@ func (b *Buddy) Unreserve(vb Owner) {
 			if m&metaFree != 0 {
 				free = append(free, blockKey{at, order})
 			} else {
-				b.ownerOf[fi] = 0
+				b.chunks[fi>>chunkShift].owner[fi&chunkMask] = 0
 			}
 			at += Addr(OrderBytes(order))
 		}
@@ -573,43 +698,106 @@ func (b *Buddy) LargestUnreservedOrder() int {
 
 // CheckInvariants verifies structural invariants and returns an error
 // describing the first violation. It is exercised by the property tests.
+// Its cost follows the memory the allocator has touched: it skips nil
+// chunks, where no block starts, and checks reservation ownership range by
+// range rather than frame by frame.
 func (b *Buddy) CheckInvariants() error {
+	// Unreserve finds an owner's blocks by walking its recorded ranges: the
+	// ranges of all owners must be disjoint, and every block must carry the
+	// owner index of the ranges it lies in (0 outside all of them). spans
+	// lists the ranges in ascending order, adjacent ranges of one owner
+	// merged, so a block of a non-zero owner must lie inside one span.
+	type span struct {
+		lo, hi uint64 // frames [lo, hi)
+		oi     uint16
+	}
+	var spans []span
+	for oi, ranges := range b.reservedAt {
+		for _, r := range ranges {
+			lo := uint64(r.base) >> FrameShift
+			hi := lo + OrderBytes(r.order)>>FrameShift
+			if hi > b.nframes {
+				return fmt.Errorf("owner index %d reserved range %v order %d beyond capacity", oi, r.base, r.order)
+			}
+			if oi != 0 { // index 0 is "unreserved": its ranges would mark nothing
+				spans = append(spans, span{lo, hi, uint16(oi)})
+			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	merged := spans[:0]
+	for _, s := range spans {
+		if n := len(merged); n > 0 {
+			last := &merged[n-1]
+			if s.lo < last.hi {
+				return fmt.Errorf("reserved ranges of owner indexes %d and %d overlap at %v",
+					last.oi, s.oi, Addr(s.lo<<FrameShift))
+			}
+			if s.lo == last.hi && s.oi == last.oi {
+				last.hi = s.hi
+				continue
+			}
+		}
+		merged = append(merged, s)
+	}
+	spans = merged
+
 	var free, reserved, total uint64
 	var cntUnres, cntRes [MaxOrder + 1]int
 	prevEnd := uint64(0)
-	for fi := uint64(0); fi < b.nframes; fi++ {
-		m := b.meta[fi]
-		if m&metaLive == 0 {
+	next := 0 // first span ending above the current block's base
+	for ci, c := range b.chunks {
+		if c == nil {
 			continue
 		}
-		o := int(m & metaOrder)
-		base := fi << FrameShift
-		size := OrderBytes(o)
-		if base%size != 0 {
-			return fmt.Errorf("block %v order %d misaligned", Addr(base), o)
-		}
-		if base < prevEnd {
-			return fmt.Errorf("blocks overlap at %v", Addr(base))
-		}
-		if base+size > b.nframes<<FrameShift {
-			return fmt.Errorf("block %v order %d extends beyond the pool", Addr(base), o)
-		}
-		prevEnd = base + size
-		total += size
-		if m&metaFree != 0 {
-			bi := int(fi >> uint(o))
-			free += size
-			if b.ownerOf[fi] == 0 {
-				cntUnres[o]++
-				if b.freeUnres[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
-					return fmt.Errorf("free block %v order %d missing from unreserved bitmap", Addr(base), o)
+		for i, m := range c.meta {
+			if m&metaLive == 0 {
+				continue
+			}
+			fi := uint64(ci)<<chunkShift + uint64(i)
+			oi := c.owner[i]
+			o := int(m & metaOrder)
+			base := fi << FrameShift
+			size := OrderBytes(o)
+			if base%size != 0 {
+				return fmt.Errorf("block %v order %d misaligned", Addr(base), o)
+			}
+			if base < prevEnd {
+				return fmt.Errorf("blocks overlap at %v", Addr(base))
+			}
+			if base+size > b.nframes<<FrameShift {
+				return fmt.Errorf("block %v order %d extends beyond the pool", Addr(base), o)
+			}
+			prevEnd = base + size
+			total += size
+			if m&metaFree != 0 {
+				bi := int(fi >> uint(o))
+				free += size
+				if oi == 0 {
+					cntUnres[o]++
+					if b.freeUnres[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+						return fmt.Errorf("free block %v order %d missing from unreserved bitmap", Addr(base), o)
+					}
+				} else {
+					cntRes[o]++
+					reserved += size
+					if b.freeRes[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+						return fmt.Errorf("free block %v order %d missing from reserved bitmap", Addr(base), o)
+					}
 				}
-			} else {
-				cntRes[o]++
-				reserved += size
-				if b.freeRes[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
-					return fmt.Errorf("free block %v order %d missing from reserved bitmap", Addr(base), o)
-				}
+			}
+			end := fi + size>>FrameShift
+			for next < len(spans) && spans[next].hi <= fi {
+				next++
+			}
+			meets := next < len(spans) && spans[next].lo < end
+			switch {
+			case oi == 0 && meets:
+				return fmt.Errorf("block %v with owner index 0 covers %v in owner index %d's reserved ranges",
+					Addr(base), Addr(max(fi, spans[next].lo)<<FrameShift), spans[next].oi)
+			case oi != 0 && (!meets || spans[next].oi != oi || spans[next].lo > fi || spans[next].hi < end):
+				return fmt.Errorf("block %v order %d with owner index %d is not inside that owner's reserved ranges",
+					Addr(base), o, oi)
 			}
 		}
 	}
@@ -627,37 +815,6 @@ func (b *Buddy) CheckInvariants() error {
 			return fmt.Errorf("order %d free counts (%d unres, %d res) disagree with blocks (%d, %d)",
 				o, b.cntUnres[o], b.cntRes[o], cntUnres[o], cntRes[o])
 		}
-	}
-	// Unreserve finds an owner's blocks by walking its recorded ranges: the
-	// ranges of all owners must be disjoint, and every block must carry the
-	// owner index of the ranges it lies in (0 outside all of them).
-	rangeOwner := make([]uint16, b.nframes)
-	for oi, ranges := range b.reservedAt {
-		for _, r := range ranges {
-			lo := uint64(r.base) >> FrameShift
-			hi := lo + OrderBytes(r.order)>>FrameShift
-			if hi > b.nframes {
-				return fmt.Errorf("owner index %d reserved range %v order %d beyond capacity", oi, r.base, r.order)
-			}
-			for fi := lo; fi < hi; fi++ {
-				if rangeOwner[fi] != 0 {
-					return fmt.Errorf("reserved ranges of owner indexes %d and %d overlap at %v",
-						rangeOwner[fi], oi, Addr(fi<<FrameShift))
-				}
-				rangeOwner[fi] = uint16(oi)
-			}
-		}
-	}
-	for fi := uint64(0); fi < b.nframes; {
-		oi := b.ownerOf[fi]
-		end := fi + OrderBytes(int(b.meta[fi]&metaOrder))>>FrameShift
-		for f := fi; f < end; f++ {
-			if rangeOwner[f] != oi {
-				return fmt.Errorf("block %v with owner index %d covers %v in owner index %d's reserved ranges",
-					Addr(fi<<FrameShift), oi, Addr(f<<FrameShift), rangeOwner[f])
-			}
-		}
-		fi = end
 	}
 	return nil
 }

@@ -360,3 +360,69 @@ func TestBuddyAllocAtUnreservedRegion(t *testing.T) {
 		t.Fatalf("did not coalesce: %d", got)
 	}
 }
+
+// chunkCount returns how many record chunks b has materialized.
+func chunkCount(b *Buddy) int {
+	n := 0
+	for _, c := range b.chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// The per-frame records cost what the allocator touches, not its capacity:
+// a 32 GB pool starts with the one chunk its single seed block needs, and
+// later operations materialize only the chunks their block records land in.
+func TestBuddyFramesStaySparse(t *testing.T) {
+	b := NewBuddy(32 << 30) // one order-23 block
+	if n := chunkCount(b); n != 1 {
+		t.Fatalf("fresh 32 GB pool has %d chunks, want 1", n)
+	}
+	// Splitting the 32 GB block down to one frame leaves a free half at
+	// every order below 23. Halves of order chunkShift and up each start a
+	// chunk of their own; the smaller ones share chunk 0 with the frame.
+	a, ok := b.Alloc(vb(1), 0)
+	if !ok || a != 0 {
+		t.Fatalf("Alloc = %v, %v", a, ok)
+	}
+	splitPoints := 1 + (23 - chunkShift)
+	if n := chunkCount(b); n != splitPoints {
+		t.Fatalf("after one order-0 Alloc: %d chunks, want %d", n, splitPoints)
+	}
+	b.Free(a, 0)
+	if got := b.LargestUnreservedOrder(); got != 23 {
+		t.Fatalf("Free did not re-coalesce across chunks: largest order %d", got)
+	}
+
+	// Reserving and filling 1 GB touches its own 16 chunks at most.
+	owner := vb(2)
+	base, ok := b.Reserve(owner, 18)
+	if !ok {
+		t.Fatal("Reserve failed")
+	}
+	for at := base; at < base+1<<30; at += FrameSize {
+		if !b.AllocAt(owner, at, 0) {
+			t.Fatalf("AllocAt(%v) failed", at)
+		}
+	}
+	b.Unreserve(owner)
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	bound := splitPoints + (1<<30)/(chunkFrames*FrameSize)
+	if n := chunkCount(b); n > bound {
+		t.Fatalf("after filling 1 GB: %d chunks, want at most %d of %d", n, bound, len(b.chunks))
+	}
+	for at := base; at < base+1<<30; at += FrameSize {
+		b.Free(at, 0)
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if b.FreeBytes() != b.Capacity() || b.LargestUnreservedOrder() != 23 {
+		t.Fatalf("pool did not re-coalesce: free %d of %d, largest order %d",
+			b.FreeBytes(), b.Capacity(), b.LargestUnreservedOrder())
+	}
+}

@@ -1,18 +1,20 @@
 package phys
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
 // shadowIndex is the per-owner index of reservation-backed allocated blocks
 // that Buddy kept as a map before Unreserve walked reserved ranges. Filled
-// from ownerOf after each allocation and emptied by Free, it names exactly
+// from the owner records after each allocation and emptied by Free, it names exactly
 // the blocks Unreserve must retag to owner index 0.
 type shadowIndex map[uint16]map[blockKey]struct{}
 
 func (s shadowIndex) allocated(b *Buddy, base Addr, order int) {
-	oi := b.ownerOf[uint64(base)>>FrameShift]
+	oi := b.ownerAt(uint64(base) >> FrameShift)
 	if oi == 0 {
 		return
 	}
@@ -23,15 +25,15 @@ func (s shadowIndex) allocated(b *Buddy, base Addr, order int) {
 }
 
 func (s shadowIndex) freed(b *Buddy, base Addr, order int) {
-	delete(s[b.ownerOf[uint64(base)>>FrameShift]], blockKey{base, order})
+	delete(s[b.ownerAt(uint64(base)>>FrameShift)], blockKey{base, order})
 }
 
 // liveAllocated returns the owner index of every live allocated block.
 func liveAllocated(b *Buddy) map[blockKey]uint16 {
 	out := map[blockKey]uint16{}
 	for fi := uint64(0); fi < b.nframes; fi++ {
-		if m := b.meta[fi]; m&metaLive != 0 && m&metaFree == 0 {
-			out[blockKey{Addr(fi << FrameShift), int(m & metaOrder)}] = b.ownerOf[fi]
+		if m := b.metaOf(fi); m&metaLive != 0 && m&metaFree == 0 {
+			out[blockKey{Addr(fi << FrameShift), int(m & metaOrder)}] = b.ownerAt(fi)
 		}
 	}
 	return out
@@ -120,7 +122,7 @@ func TestBuddyUnreserveMatchesShadowIndex(t *testing.T) {
 		for _, r := range ranges[owner] {
 			for o := r.order + 1; o <= MaxOrder; o++ {
 				fi := uint64(r.base&^Addr(OrderBytes(o)-1)) >> FrameShift
-				if fi < b.nframes && b.meta[fi] == metaLive|metaFree|uint8(o) && b.ownerOf[fi] == oi {
+				if fi < b.nframes && b.metaOf(fi) == metaLive|metaFree|uint8(o) && b.ownerAt(fi) == oi {
 					return true
 				}
 			}
@@ -138,7 +140,7 @@ func TestBuddyUnreserveMatchesShadowIndex(t *testing.T) {
 			if !ok {
 				break
 			}
-			switch oi := b.ownerOf[uint64(base)>>FrameShift]; {
+			switch oi := b.ownerAt(uint64(base) >> FrameShift); {
 			case oi == 0:
 				seen.allocUnres++
 			case oi == self:
@@ -157,7 +159,7 @@ func TestBuddyUnreserveMatchesShadowIndex(t *testing.T) {
 			if !ok || !b.AllocAt(owner, at, 0) {
 				break
 			}
-			switch oi := b.ownerOf[uint64(at)>>FrameShift]; {
+			switch oi := b.ownerAt(uint64(at) >> FrameShift); {
 			case oi == self && oi != 0:
 				seen.allocAtOwn++
 			case oi != 0:
@@ -238,5 +240,197 @@ func TestBuddyUnreserveMatchesShadowIndex(t *testing.T) {
 		} else {
 			t.Logf("%s: %d", c.name, c.n)
 		}
+	}
+}
+
+// checkInvariantsDense is CheckInvariants as it was before the records were
+// chunked: it visits every frame of the pool and marks reserved-range
+// ownership in an nframes-sized array. It is the oracle for which states
+// the sparse check must reject.
+func checkInvariantsDense(b *Buddy) error {
+	var free, reserved, total uint64
+	var cntUnres, cntRes [MaxOrder + 1]int
+	prevEnd := uint64(0)
+	for fi := uint64(0); fi < b.nframes; fi++ {
+		m := b.metaOf(fi)
+		if m&metaLive == 0 {
+			continue
+		}
+		o := int(m & metaOrder)
+		base := fi << FrameShift
+		size := OrderBytes(o)
+		if base%size != 0 {
+			return fmt.Errorf("block %v order %d misaligned", Addr(base), o)
+		}
+		if base < prevEnd {
+			return fmt.Errorf("blocks overlap at %v", Addr(base))
+		}
+		if base+size > b.nframes<<FrameShift {
+			return fmt.Errorf("block %v order %d extends beyond the pool", Addr(base), o)
+		}
+		prevEnd = base + size
+		total += size
+		if m&metaFree != 0 {
+			bi := int(fi >> uint(o))
+			free += size
+			if b.ownerAt(fi) == 0 {
+				cntUnres[o]++
+				if b.freeUnres[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+					return fmt.Errorf("free block %v order %d missing from unreserved bitmap", Addr(base), o)
+				}
+			} else {
+				cntRes[o]++
+				reserved += size
+				if b.freeRes[o][bi>>6]&(1<<(uint(bi)&63)) == 0 {
+					return fmt.Errorf("free block %v order %d missing from reserved bitmap", Addr(base), o)
+				}
+			}
+		}
+	}
+	if free != b.freeBytes {
+		return fmt.Errorf("freeBytes %d, blocks sum to %d", b.freeBytes, free)
+	}
+	if reserved != b.reservedBytes {
+		return fmt.Errorf("reservedBytes %d, blocks sum to %d", b.reservedBytes, reserved)
+	}
+	if total != b.capacity {
+		return fmt.Errorf("blocks cover %d bytes, capacity %d", total, b.capacity)
+	}
+	for o := 0; o <= MaxOrder; o++ {
+		if cntUnres[o] != b.cntUnres[o] || cntRes[o] != b.cntRes[o] {
+			return fmt.Errorf("order %d free counts disagree with blocks", o)
+		}
+	}
+	rangeOwner := make([]uint16, b.nframes)
+	for oi, ranges := range b.reservedAt {
+		for _, r := range ranges {
+			lo := uint64(r.base) >> FrameShift
+			hi := lo + OrderBytes(r.order)>>FrameShift
+			if hi > b.nframes {
+				return fmt.Errorf("owner index %d reserved range %v order %d beyond capacity", oi, r.base, r.order)
+			}
+			for fi := lo; fi < hi; fi++ {
+				if rangeOwner[fi] != 0 {
+					return fmt.Errorf("reserved ranges of owner indexes %d and %d overlap at %v",
+						rangeOwner[fi], oi, Addr(fi<<FrameShift))
+				}
+				rangeOwner[fi] = uint16(oi)
+			}
+		}
+	}
+	for fi := uint64(0); fi < b.nframes; {
+		oi := b.ownerAt(fi)
+		end := fi + OrderBytes(int(b.metaOf(fi)&metaOrder))>>FrameShift
+		for f := fi; f < end; f++ {
+			if rangeOwner[f] != oi {
+				return fmt.Errorf("block %v with owner index %d covers %v in owner index %d's reserved ranges",
+					Addr(fi<<FrameShift), oi, Addr(f<<FrameShift), rangeOwner[f])
+			}
+		}
+		fi = end
+	}
+	return nil
+}
+
+// TestCheckInvariantsMatchesDense corrupts valid allocator states one
+// record, range or counter at a time and requires CheckInvariants to reject
+// exactly the states the dense check rejects.
+func TestCheckInvariantsMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	const frames = 4 * chunkFrames
+	owners := []Owner{vb(1), vb(2), vb(3)}
+	var rejected, accepted int
+	for trial := 0; trial < 1000; trial++ {
+		b := NewBuddy(frames * FrameSize)
+		for step := 0; step < 40; step++ {
+			owner := owners[rng.Intn(len(owners))]
+			switch rng.Intn(4) {
+			case 0:
+				b.Reserve(owner, rng.Intn(chunkShift+2))
+			case 1:
+				b.Alloc(owner, rng.Intn(chunkShift+2))
+			case 2:
+				if rs := b.reservedAt[b.ownerIdx[owner]]; len(rs) > 0 {
+					r := rs[rng.Intn(len(rs))]
+					b.AllocAt(owner, r.base+Addr(rng.Intn(1<<r.order))*FrameSize, 0)
+				}
+			case 3:
+				b.Unreserve(owner)
+			}
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("trial %d before corruption: %v", trial, err)
+		}
+		corrupt(rng, b)
+		sparse, dense := b.CheckInvariants(), checkInvariantsDense(b)
+		if (sparse == nil) != (dense == nil) {
+			t.Fatalf("trial %d: CheckInvariants = %v, dense check = %v", trial, sparse, dense)
+		}
+		if sparse != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+	}
+	t.Logf("corrupted states rejected %d, accepted %d", rejected, accepted)
+	if rejected == 0 {
+		t.Fatal("no corruption was rejected")
+	}
+}
+
+// corrupt applies one random change to b's records, reserved ranges or
+// counters. Most changes break an invariant; a few (such as moving a
+// block's owner to a value it already has) do not.
+func corrupt(rng *rand.Rand, b *Buddy) {
+	var starts, reserved []uint64
+	for fi := uint64(0); fi < b.nframes; fi++ {
+		if b.metaOf(fi)&metaLive != 0 {
+			starts = append(starts, fi)
+			if b.ownerAt(fi) != 0 {
+				reserved = append(reserved, fi)
+			}
+		}
+	}
+	fi := starts[rng.Intn(len(starts))]
+	if len(reserved) > 0 && rng.Intn(2) == 0 {
+		fi = reserved[rng.Intn(len(reserved))]
+	}
+	c := b.chunks[fi>>chunkShift]
+	i := fi & chunkMask
+	order := int(c.meta[i] & metaOrder)
+	oi := uint16(rng.Intn(len(b.reservedAt)))
+	if rng.Intn(2) == 0 {
+		oi = c.owner[i]
+	}
+	switch rng.Intn(10) {
+	case 0: // retag a block
+		c.owner[i] = oi
+	case 1: // drop a block's record
+		c.meta[i] = 0
+	case 2: // flip its free bit
+		c.meta[i] ^= metaFree
+	case 3: // change its order
+		c.meta[i] = c.meta[i]&^metaOrder | uint8(rng.Intn(order+2))
+	case 4: // start a block inside another, possibly in a new chunk
+		if order > 0 {
+			in := fi + uint64(rng.Intn(1<<order-1)) + 1
+			b.chunkOf(in).meta[in&chunkMask] = metaLive | uint8(bits.TrailingZeros64(in)%(order+1))
+		}
+	case 5: // record a range for some owner over an existing block
+		b.reservedAt[oi] = append(b.reservedAt[oi], blockKey{Addr(fi << FrameShift), order})
+	case 6: // record a range that runs past the pool
+		b.reservedAt[oi] = append(b.reservedAt[oi], blockKey{Addr((b.nframes - 1) << FrameShift), 1})
+	case 7: // forget a recorded range
+		if rs := b.reservedAt[oi]; len(rs) > 0 {
+			b.reservedAt[oi] = rs[1:]
+		}
+	case 9: // shrink a recorded range to one of its halves
+		if rs := b.reservedAt[oi]; len(rs) > 0 && rs[0].order > 0 {
+			half := Addr(rng.Intn(2)) * Addr(OrderBytes(rs[0].order-1))
+			rs[0] = blockKey{rs[0].base + half, rs[0].order - 1}
+		}
+	case 8: // clear a free bitmap bit
+		b.freeUnres[order].clear(int(fi >> uint(order)))
+		b.freeRes[order].clear(int(fi >> uint(order)))
 	}
 }

@@ -69,13 +69,14 @@ func (r *runner) initConv(cfg Config, ss *sharedState) error {
 		// virtualized mode too; Virtual-2M's additional 2D PWC (footnote
 		// 4) is modelled by its host-dimension cache below.
 		r.guestPWC = tlb.NewPWC("gPWC", p.PWCEntries)
-		for si, s := range prof.Structs {
+		for _, s := range prof.Structs {
 			base := vm.Mmap(s.Size)
 			r.bases = append(r.bases, base)
 			// Initialization pass: the guest writes its live data before
 			// the simulated region begins.
 			pageSize := geo.PageSize()
-			for va := base; va < base+prof.Structs[si].WarmBytes(); va += pageSize {
+			end := base + s.WarmBytes()
+			for va := base; va < end; va += pageSize {
 				if _, err := vm.Touch(va); err != nil {
 					return err
 				}
@@ -96,7 +97,8 @@ func (r *runner) initConv(cfg Config, ss *sharedState) error {
 			// Initialization pass (demand paging happens at startup, not
 			// during the simulated region).
 			pageSize := geo.PageSize()
-			for va := base; va < base+s.WarmBytes(); va += pageSize {
+			end := base + s.WarmBytes()
+			for va := base; va < end; va += pageSize {
 				if _, err := proc.Touch(va); err != nil {
 					return err
 				}

@@ -18,7 +18,8 @@ func (r *runner) initEnigma(capacity uint64) error {
 		r.bases = append(r.bases, base)
 		// Initialization pass: first touches allocate the 2 MB pages of
 		// the live data before the simulated region.
-		for ia := base; ia < base+s.WarmBytes(); ia += enigma.PageSize {
+		end := base + s.WarmBytes()
+		for ia := base; ia < end; ia += enigma.PageSize {
 			if _, err := r.eng.Translate(ia); err != nil {
 				return err
 			}
