@@ -36,6 +36,7 @@ import (
 func main() {
 	params := harness.ParamAxes{}
 	tlsOpts := &dist.TLSOptions{}
+	fleetOpts := &dist.FleetOptions{}
 	var (
 		profile = flag.String("profile", "", `capture pprof profiles of this process: "cpu,heap,out=DIR" (either profile kind, comma-separated; out= names the directory)`)
 		version = flag.Bool("version", false, "print protocol and harness versions, then exit")
@@ -47,15 +48,13 @@ func main() {
 		out     = flag.String("out", "", "also write results to this file")
 		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cache   = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		remote  = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards every figure's batch across them")
-		fleet   = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-		authTok = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
 		jsonOut = flag.String("json", "", "write figure tables as JSON to this file")
 		csvOut  = flag.String("csv", "", "write figure tables as CSV to this file")
 		verbose = flag.Bool("v", false, "log every run")
 	)
 	flag.Var(params, "param", "parameter override name=value applied to every run (repeatable; see vbisweep -list)")
 	tlsOpts.Flags(flag.CommandLine)
+	fleetOpts.Flags(flag.CommandLine)
 	flag.Parse()
 	if *version {
 		fmt.Println(dist.VersionLine("vbibench"))
@@ -116,35 +115,16 @@ func main() {
 		o.Progress = os.Stderr
 	}
 
-	if *remote != "" || *fleet != "" {
-		token := dist.ResolveToken(*authTok)
-		httpc, err := tlsOpts.Client()
-		if err != nil {
-			fatal(err)
-		}
-		coord := &dist.Coordinator{
-			Endpoints: dist.ApplyScheme(dist.SplitEndpoints(*remote), tlsOpts.Scheme()),
-			AuthToken: token, Progress: o.Progress, Client: httpc}
-		if *cache != "" {
-			coord.Cache = &harness.Cache{Dir: *cache}
-		}
-		// Local fallback mirrors vbisweep: an effectively empty -remote
-		// (e.g. ",") still honors -workers/-cache instead of a default pool.
-		coord.Local = &harness.Runner{Workers: *workers, Cache: coord.Cache, Progress: o.Progress}
-		if *fleet != "" {
-			tlsCfg, err := tlsOpts.ServerConfig()
-			if err != nil {
-				fatal(err)
-			}
-			reg, closer, err := dist.ServeFleet(*fleet, token, "vbibench", tlsCfg, os.Stderr)
-			if err != nil {
-				fatal(err)
-			}
-			defer closer.Close()
-			coord.Fleet = reg
-		}
-		o.Executor = coord
+	local := &harness.Runner{Workers: *workers, Progress: o.Progress}
+	if *cache != "" {
+		local.Cache = &harness.Cache{Dir: *cache}
 	}
+	coord, closeFleet, err := fleetOpts.Coordinator("vbibench", tlsOpts, local, nil)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeFleet()
+	o.Executor = coord
 
 	figures := map[string]func(exp.Options) (*stats.Table, error){
 		"fig6": exp.Fig6, "fig7": exp.Fig7, "fig8": exp.Fig8,

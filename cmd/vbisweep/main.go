@@ -94,6 +94,7 @@ import (
 func main() {
 	params := harness.ParamAxes{}
 	tlsOpts := &dist.TLSOptions{}
+	fleetOpts := &dist.FleetOptions{}
 	logOpts := &obs.LogOptions{}
 	var (
 		daemon  = flag.String("daemon", "", "vbisweepd address; switches to client mode (-submit/-watch/-cancel)")
@@ -113,9 +114,6 @@ func main() {
 		config     = flag.String("config", "", "JSON grid config (exclusive with the axis flags)")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir   = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		remote     = flag.String("remote", "", "comma-separated vbiworker endpoints host:port; shards the sweep across them (empty = local pool)")
-		fleet      = flag.String("fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-		authToken  = flag.String("auth-token", "", "shared fleet token for -remote/-fleet (default $"+dist.AuthEnv+")")
 		cacheStats = flag.Bool("cache-stats", false, "print entry/byte/version stats for -cache and exit")
 		cachePrune = flag.Bool("cache-prune", false, "delete -cache entries from other schema versions and exit")
 		metric     = flag.String("metric", harness.MetricIPC, "matrix metric: "+strings.Join(harness.Metrics(), " or "))
@@ -127,6 +125,7 @@ func main() {
 	)
 	flag.Var(params, "param", "parameter axis name=v1,v2,... (repeatable; see -list)")
 	tlsOpts.Flags(flag.CommandLine)
+	fleetOpts.Flags(flag.CommandLine)
 	logOpts.Flags(flag.CommandLine)
 	flag.Parse()
 
@@ -182,7 +181,7 @@ func main() {
 		}
 		client = &sweepd.Client{
 			Base:      dist.ApplyScheme([]string{*daemon}, tlsOpts.Scheme())[0],
-			AuthToken: dist.ResolveToken(*authToken),
+			AuthToken: dist.ResolveToken(fleetOpts.AuthToken),
 			HTTP:      httpc,
 		}
 	}
@@ -295,38 +294,11 @@ func main() {
 	if *verbose {
 		runner.Progress = os.Stderr
 	}
-	var exec harness.Executor = runner
-	if *remote != "" || *fleet != "" {
-		token := dist.ResolveToken(*authToken)
-		httpc, err := tlsOpts.Client()
-		if err != nil {
-			fatal(err)
-		}
-		coord := &dist.Coordinator{
-			Endpoints: dist.ApplyScheme(dist.SplitEndpoints(*remote), tlsOpts.Scheme()),
-			AuthToken: token,
-			Cache:     runner.Cache,
-			Local:     runner,
-			Client:    httpc,
-			Logger:    logger,
-		}
-		if *verbose {
-			coord.Progress = os.Stderr
-		}
-		if *fleet != "" {
-			tlsCfg, err := tlsOpts.ServerConfig()
-			if err != nil {
-				fatal(err)
-			}
-			reg, closer, err := dist.ServeFleet(*fleet, token, "vbisweep", tlsCfg, os.Stderr)
-			if err != nil {
-				fatal(err)
-			}
-			defer closer.Close()
-			coord.Fleet = reg
-		}
-		exec = coord
+	exec, closeFleet, err := fleetOpts.Coordinator("vbisweep", tlsOpts, runner, logger)
+	if err != nil {
+		fatal(err)
 	}
+	defer closeFleet()
 	// Ctrl-C stops feeding the pool: in-flight jobs finish and cached
 	// results stay, so the next invocation resumes from there. Once
 	// cancelled the handler unregisters, so a second Ctrl-C kills the

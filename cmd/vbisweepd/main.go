@@ -23,8 +23,11 @@
 //	POST   /leave        vbiworker graceful-drain deregistration
 //
 // Workers join with `vbiworker -join <addr>` (dynamic, heartbeating) or
-// are listed statically with -remote. Clients use `vbisweep -daemon`
-// with -submit/-watch/-cancel, or plain curl.
+// are listed statically with -remote. The -remote list seeds the fleet
+// exactly as vbisweep's does (dist.Registry.AddRemote): at startup a
+// worker running a different protocol version stops the daemon, and an
+// unreachable or draining one is skipped with a log line. Clients use
+// `vbisweep -daemon` with -submit/-watch/-cancel, or plain curl.
 //
 // Usage:
 //
@@ -55,7 +58,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:9600", "listen address for the API and the fleet routes")
 		journal   = flag.String("journal", ".vbisweepd", "journal directory: one record per sweep, replayed on restart")
 		cacheDir  = flag.String("cache", "", "shared result-cache directory (strongly recommended: it is what makes restarts incremental)")
-		remote    = flag.String("remote", "", "comma-separated static vbiworker endpoints host:port (dynamic workers use vbiworker -join instead)")
+		remote    = flag.String("remote", "", "comma-separated static vbiworker endpoints host:port, probed once at startup: a stale one stops the daemon, an unreachable or draining one is skipped (dynamic workers use vbiworker -join instead)")
 		authToken = flag.String("auth-token", "", "shared token gating every route and sent to workers (default $"+dist.AuthEnv+")")
 		shard     = flag.Int("shard", 4, "jobs per dispatched shard")
 		timeout   = flag.Duration("timeout", 10*time.Minute, "per-shard worker request timeout")
@@ -103,28 +106,14 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := srv.Start(ctx); err != nil {
+	// Static workers are seeded before the journal replays, under the
+	// one-shot coordinator's policy: a stale one stops the daemon here.
+	remotes := dist.ApplyScheme(dist.SplitEndpoints(*remote), tlsOpts.Scheme())
+	if err := srv.Fleet.AddRemote(ctx, client, token, remotes); err != nil {
 		fatal(err)
 	}
-
-	// Static -remote workers are probed once for their pool width and
-	// pre-registered; unreachable ones still register at weight 1 so the
-	// scheduler picks them up when they come back (static members are
-	// never TTL-evicted).
-	for _, ep := range dist.ApplyScheme(dist.SplitEndpoints(*remote), tlsOpts.Scheme()) {
-		weight := 1
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		h, err := dist.Probe(pctx, client, ep, token)
-		cancel()
-		switch {
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "vbisweepd: warning: static worker %s unreachable (%v); registered at weight 1\n", ep, err)
-		case h.Version != dist.ProtocolVersion:
-			fmt.Fprintf(os.Stderr, "vbisweepd: warning: static worker %s runs %s, daemon %s; it will be dropped at first dispatch\n", ep, h.Version, dist.ProtocolVersion)
-		default:
-			weight = h.Workers
-		}
-		srv.Fleet.Add(ep, weight, true, "")
+	if err := srv.Start(ctx); err != nil {
+		fatal(err)
 	}
 
 	httpSrv, bound, err := dist.Serve(*addr, srv.Handler(), tlsCfg)

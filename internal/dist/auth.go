@@ -29,43 +29,28 @@ func setAuth(req *http.Request, token string) {
 	}
 }
 
-// checkAuth reports whether a request carries the shared token as a
-// bearer credential (the scheme is required — a malformed header is a
-// 401, not a second accepted form). The token comparison is
-// constant-time so the token cannot be guessed byte by byte from
-// response timing. An empty configured token means auth is off.
-func checkAuth(token string, req *http.Request) bool {
-	if token == "" {
-		return true
-	}
-	const scheme = "Bearer "
-	h := req.Header.Get("Authorization")
-	if !strings.HasPrefix(h, scheme) {
-		return false
-	}
-	return subtle.ConstantTimeCompare([]byte(h[len(scheme):]), []byte(token)) == 1
-}
-
-// requireAuth wraps a handler with the shared-token gate: when token is
+// RequireAuth wraps a handler with the shared-token gate: when token is
 // non-empty, every request without the exact bearer token gets 401. Both
 // sides of the protocol are gated — the worker's /healthz and /run, and
 // the coordinator's /register — so neither an unauthenticated coordinator
 // can hand shards to a fleet nor an unauthenticated host can join one.
-func requireAuth(token string, next http.Handler) http.Handler {
+// The sweep daemon gates its API with the same shared token.
+func RequireAuth(token string, next http.Handler) http.Handler {
+	if token == "" {
+		return next
+	}
+	const scheme = "Bearer "
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if !checkAuth(token, req) {
+		// The scheme is required (a malformed header is a 401, not a
+		// second accepted form), and the comparison is constant-time so
+		// the token cannot be guessed byte by byte from response timing.
+		h := req.Header.Get("Authorization")
+		if !strings.HasPrefix(h, scheme) || subtle.ConstantTimeCompare([]byte(h[len(scheme):]), []byte(token)) != 1 {
 			writeJSON(rw, http.StatusUnauthorized, errorBody{Error: "missing or wrong auth token"})
 			return
 		}
 		next.ServeHTTP(rw, req)
 	})
-}
-
-// RequireAuth is requireAuth for other packages building on the dist
-// control plane (the sweep daemon gates its API with the same shared
-// token that gates the fleet routes).
-func RequireAuth(token string, next http.Handler) http.Handler {
-	return requireAuth(token, next)
 }
 
 // NonLoopbackBind reports whether a listen address accepts connections

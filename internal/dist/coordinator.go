@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,8 +24,10 @@ import (
 // that takes an executor can run distributed unchanged.
 //
 // The fleet can be static, dynamic, or both. Endpoints lists workers
-// known up front (the -remote flag); they are handshaken and
-// pre-registered. Fleet, when non-nil, is a membership registry whose
+// known up front (the -remote flag); Run seeds them into the registry
+// through Registry.AddRemote, the one -remote path the sweep daemon also
+// takes, after the cache pre-pass, so a fully cached batch contacts no
+// worker. Fleet, when non-nil, is a membership registry whose
 // /register endpoint the coordinator's front-end serves (-fleet): workers
 // join and leave while the sweep runs, a joiner immediately starts
 // pulling queued shards, and a worker that dies — detected by request
@@ -141,8 +145,8 @@ func (c *Coordinator) pollInterval() time.Duration {
 }
 
 // SplitEndpoints parses a comma-separated -remote flag value into an
-// endpoint list, dropping empty entries. Both CLIs use it so -remote
-// parsing cannot diverge between them.
+// endpoint list, dropping empty entries. FleetOptions and vbisweepd use
+// it so -remote parsing cannot diverge between front-ends.
 func SplitEndpoints(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -151,6 +155,63 @@ func SplitEndpoints(s string) []string {
 		}
 	}
 	return out
+}
+
+// FleetOptions is the -remote/-fleet/-auth-token configuration of the
+// one-shot coordinator front-ends (vbisweep, vbibench): one place that
+// declares the flags and turns them into a Coordinator.
+type FleetOptions struct {
+	// Remote is the comma-separated static endpoint list.
+	Remote string
+	// Listen is the dynamic-fleet registration address.
+	Listen string
+	// AuthToken is the shared fleet token; empty falls back to
+	// $VBI_AUTH_TOKEN (ResolveToken).
+	AuthToken string
+}
+
+// Flags registers -remote, -fleet and -auth-token on fs.
+func (o *FleetOptions) Flags(fs *flag.FlagSet) {
+	fs.StringVar(&o.Remote, "remote", "", "comma-separated vbiworker endpoints host:port; shards every batch across them (empty = local pool)")
+	fs.StringVar(&o.Listen, "fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
+	fs.StringVar(&o.AuthToken, "auth-token", "", "shared fleet token for -remote/-fleet (default $"+AuthEnv+")")
+}
+
+// Coordinator builds the executor these options configure around local,
+// the runner whose Cache and Progress it shares and which runs every
+// batch when neither -remote nor -fleet is given. With -fleet it also
+// serves the registration listener (TLS per tlsOpts, log lines prefixed
+// with prog on stderr); call the returned close when the run ends.
+func (o *FleetOptions) Coordinator(prog string, tlsOpts *TLSOptions, local *harness.Runner, logger *slog.Logger) (*Coordinator, func() error, error) {
+	c := &Coordinator{AuthToken: ResolveToken(o.AuthToken), Cache: local.Cache, Local: local,
+		Progress: local.Progress, Logger: logger}
+	noListener := func() error { return nil }
+	if o.Remote == "" && o.Listen == "" {
+		return c, noListener, nil
+	}
+	client, err := tlsOpts.Client()
+	if err != nil {
+		return nil, nil, err
+	}
+	c.Client = client
+	c.Endpoints = ApplyScheme(SplitEndpoints(o.Remote), tlsOpts.Scheme())
+	if o.Listen == "" {
+		return c, noListener, nil
+	}
+	tlsCfg, err := tlsOpts.ServerConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.AuthToken == "" && tlsCfg == nil && NonLoopbackBind(o.Listen) {
+		fmt.Fprintf(os.Stderr, "%s: warning: fleet listener %s is reachable beyond loopback with no -auth-token or TLS; any host can serve shards\n", prog, o.Listen)
+	}
+	c.Fleet = &Registry{AuthToken: c.AuthToken, Log: os.Stderr}
+	srv, bound, err := Serve(o.Listen, c.Fleet.Handler(), tlsCfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet listener: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: fleet listening on %s (workers join with vbiworker -join)\n", prog, bound)
+	return c, srv.Close, nil
 }
 
 // baseURL normalizes a configured endpoint to a scheme-qualified base.
@@ -163,9 +224,9 @@ func baseURL(ep string) string {
 
 // Run implements harness.Executor. With no endpoints and no fleet it
 // delegates to the local runner; otherwise it validates, serves what it
-// can from Cache, handshakes the static endpoints, and dispatches the
-// remaining jobs as one batch across the (possibly churning) membership.
-// A version mismatch at handshake, a shard refused by the fleet
+// can from Cache, seeds the registry with Endpoints (Registry.AddRemote),
+// and dispatches the remaining jobs as one batch across the (possibly
+// churning) membership. A stale endpoint, a shard refused by the fleet
 // maxShardAttempts times, a static-only fleet fully dead or a cancelled
 // context aborts the batch; already-completed shards remain in Cache.
 func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Result, error) {
@@ -206,22 +267,17 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 
 	reg := c.Fleet
 	if reg == nil {
-		// The static -remote path is a degenerate fleet: every member is
-		// pre-registered, nothing ever joins, and running dry is fatal.
-		// No Log: the coordinator already narrates the handshake, and two
-		// independently-locked writers to one Progress stream could
-		// interleave.
-		reg = &Registry{}
+		// Without a fleet listener the -remote list is the whole fleet:
+		// nothing joins, and running dry is fatal. The registry narrates
+		// seeding on Progress; it writes nothing once the scheduler
+		// starts, because static members are never evicted.
+		reg = &Registry{Log: c.Progress}
 	}
-	statics, err := c.handshake(ctx)
-	if err != nil {
+	if err := reg.AddRemote(ctx, c.client(), c.AuthToken, c.Endpoints); err != nil {
 		return nil, err
 	}
-	if len(statics) == 0 && len(c.Endpoints) > 0 && !reg.Dynamic() {
+	if len(reg.Live()) == 0 && !reg.Dynamic() {
 		return nil, fmt.Errorf("dist: no live workers among %s", strings.Join(c.Endpoints, ","))
-	}
-	for _, h := range statics {
-		reg.Add(h.base, h.workers, true, "")
 	}
 
 	s := c.NewScheduler(reg)
@@ -278,86 +334,9 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 	}
 }
 
-// staticHello is one handshaken -remote endpoint.
-type staticHello struct {
-	base    string
-	workers int
-}
-
-// handshake probes every configured static endpoint. Unreachable
-// endpoints are dropped with a warning (the rest of the fleet absorbs
-// their share); a version mismatch is fatal for the whole run, because a
-// stale worker binary means the operator's fleet disagrees about the
-// timing model and silently excluding it would hide that.
-func (c *Coordinator) handshake(ctx context.Context) ([]staticHello, error) {
-	if len(c.Endpoints) == 0 {
-		return nil, nil
-	}
-	// Probe concurrently: a fleet with a few unroutable hosts must not
-	// serialize their dial timeouts in front of the live workers.
-	hellos := make([]Hello, len(c.Endpoints))
-	errs := make([]error, len(c.Endpoints))
-	var wg sync.WaitGroup
-	for i, name := range c.Endpoints {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			hellos[i], errs[i] = c.hello(ctx, baseURL(name))
-		}(i, name)
-	}
-	wg.Wait()
-	// A cancelled batch is a cancellation, not a fleet of unreachable
-	// workers.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []staticHello
-	for i, name := range c.Endpoints {
-		if errs[i] != nil {
-			c.logf("dist: dropping unreachable worker %s: %v", name, errs[i])
-			continue
-		}
-		h := hellos[i]
-		if h.Version != ProtocolVersion {
-			return nil, fmt.Errorf("dist: worker %s runs %s, coordinator runs %s: refusing to mix timing models",
-				name, h.Version, ProtocolVersion)
-		}
-		if h.Draining {
-			c.logf("dist: skipping draining worker %s", name)
-			continue
-		}
-		out = append(out, staticHello{base: baseURL(name), workers: h.Workers})
-	}
-	return out, nil
-}
-
-// hello fetches an endpoint's handshake, retrying briefly so a worker
-// still binding its socket (the loopback-smoke race) is not dropped.
-func (c *Coordinator) hello(ctx context.Context, base string) (Hello, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if attempt > 0 {
-			if err := sleepCtx(ctx, 300*time.Millisecond); err != nil {
-				return Hello{}, err
-			}
-		}
-		h, err := c.helloOnce(ctx, base)
-		if err == nil {
-			return h, nil
-		}
-		lastErr = err
-	}
-	return Hello{}, lastErr
-}
-
-func (c *Coordinator) helloOnce(ctx context.Context, base string) (Hello, error) {
-	return Probe(ctx, c.client(), base, c.AuthToken)
-}
-
-// Probe fetches one endpoint's handshake (PathHealthz). It is the
-// client half every fleet front-end shares: the coordinator's static
-// handshake and the sweep daemon's -remote pre-registration both go
-// through it.
+// Probe fetches one endpoint's handshake (PathHealthz), the client half
+// of the /healthz contract. Registry.AddRemote probes every -remote
+// endpoint through it.
 func Probe(ctx context.Context, client *http.Client, base, token string) (Hello, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()

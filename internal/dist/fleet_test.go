@@ -151,6 +151,84 @@ func TestRegistryStaticPreRegistrationKeepsQuarantine(t *testing.T) {
 	}
 }
 
+// TestAddRemote pins the one -remote seeding policy every front-end
+// shares: a live endpoint joins as a static member at its advertised
+// width, draining and unreachable endpoints are skipped with a log line,
+// and a stale endpoint fails the whole list before anything registers.
+func TestAddRemote(t *testing.T) {
+	seed := func(t *testing.T, endpoints ...string) (*Registry, string, error) {
+		t.Helper()
+		var log bytes.Buffer
+		reg := &Registry{Log: &log}
+		err := reg.AddRemote(context.Background(), http.DefaultClient, "", endpoints)
+		return reg, log.String(), err
+	}
+
+	t.Run("live", func(t *testing.T) {
+		live := newWorkerServer(t, 3)
+		reg, _, err := seed(t, live.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Live()
+		if len(got) != 1 || got[0].ID != live.URL || !got[0].Static || got[0].Weight != 3 {
+			t.Errorf("live worker seeded as %+v, want one static member %s of weight 3", got, live.URL)
+		}
+	})
+
+	t.Run("draining", func(t *testing.T) {
+		w := &Worker{Runner: &harness.Runner{Workers: 2}}
+		w.SetDraining(true)
+		srv := httptest.NewServer(w.Handler())
+		t.Cleanup(srv.Close)
+		reg, log, err := seed(t, srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(reg.Snapshot()); n != 0 {
+			t.Errorf("draining worker registered (%d members)", n)
+		}
+		if !strings.Contains(log, "draining worker "+srv.URL) {
+			t.Errorf("log does not name the draining worker:\n%s", log)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		srv := httptest.NewServer(http.NotFoundHandler())
+		srv.Close()
+		reg, log, err := seed(t, srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(reg.Snapshot()); n != 0 {
+			t.Errorf("closed listener registered (%d members)", n)
+		}
+		if !strings.Contains(log, "unreachable worker "+srv.URL) {
+			t.Errorf("log does not name the closed listener:\n%s", log)
+		}
+	})
+
+	t.Run("stale", func(t *testing.T) {
+		live := newWorkerServer(t, 1)
+		stale := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			writeJSON(rw, http.StatusOK, Hello{Service: "vbiworker", Version: "vbi-harness-v0", Workers: 1})
+		}))
+		t.Cleanup(stale.Close)
+		reg, _, err := seed(t, live.URL, stale.URL)
+		if err == nil {
+			t.Fatal("stale endpoint accepted")
+		}
+		for _, want := range []string{stale.URL, "vbi-harness-v0", ProtocolVersion} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		}
+		if n := len(reg.Snapshot()); n != 0 {
+			t.Errorf("stale list registered %d members, want 0", n)
+		}
+	})
+}
+
 // TestWorkerAuth asserts the shared-token gate on the worker's endpoints:
 // missing and wrong tokens get 401 on every route, the right token is
 // served, and a tokenless worker stays open.

@@ -15,10 +15,11 @@
 //     speed, retries and requeues cannot reorder anything.
 //   - Version handshake. Workers advertise the ProtocolVersion baked into
 //     their binary, and every /run request repeats the coordinator's. A
-//     mismatch at the static handshake aborts the run, and a worker that
-//     refuses a /run (412) is dropped from the fleet, so a stale worker
-//     binary can never contribute results from a different timing model,
-//     job schema or wire format.
+//     mismatch when -remote seeds the registry (Registry.AddRemote)
+//     aborts the run, a stale join is refused, and a worker that refuses
+//     a /run (412) is dropped from the fleet, so a stale worker binary
+//     can never contribute results from a different timing model, job
+//     schema or wire format.
 //
 // Failure handling is shard-granular: a failed or timed-out request
 // requeues its shard for the surviving endpoints, and completed shards
@@ -78,7 +79,7 @@ const (
 	PathLeave = "/leave"
 )
 
-// Hello is the handshake response served on /healthz. The coordinator
+// Hello is the handshake response served on /healthz. Registry.AddRemote
 // refuses endpoints whose Version differs from its own ProtocolVersion
 // and uses Workers as the shard-planning weight.
 //
@@ -88,8 +89,8 @@ type Hello struct {
 	Version string `json:"version"` // ProtocolVersion of the worker binary
 	Workers int    `json:"workers"` // local pool width
 	// Draining reports a worker winding down (SIGTERM received): it
-	// finishes in-flight shards but refuses new ones, so a coordinator
-	// should not select it at handshake time.
+	// finishes in-flight shards but refuses new ones, so AddRemote skips
+	// it.
 	Draining bool `json:"draining,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"crypto/tls"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,8 +38,8 @@ type Member struct {
 // Registry is the coordinator-side worker-fleet membership table. Dynamic
 // members join over HTTP (Handler serves PathRegister) and stay alive by
 // re-registering periodically; a dynamic member that misses heartbeats for
-// TTL is evicted. Static members (the -remote list, pre-registered via
-// Add) never expire. The scheduler polls Live and spawns or cancels serve
+// TTL is evicted. Static members (the -remote list, seeded by AddRemote)
+// never expire. The scheduler polls Live and spawns or cancels serve
 // loops as membership churns, so a worker joining mid-sweep immediately
 // starts pulling queued shards and a worker that dies has its in-flight
 // shards requeued.
@@ -164,6 +164,58 @@ func (r *Registry) Remove(id string) {
 	e.bannedUntil = time.Now().Add(ban)
 }
 
+// AddRemote seeds the registry with a -remote endpoint list, the one
+// path by which static members enter a fleet. Endpoints are probed
+// concurrently, so unroutable hosts do not serialize their dial timeouts,
+// and up to three times 300ms apart, so a worker still binding its
+// socket is not missed. If any endpoint runs a different
+// ProtocolVersion, AddRemote registers nothing and returns an error
+// naming it: a stale worker binary means the fleet disagrees about the
+// timing model, and silently excluding it would hide that. Unreachable
+// and draining endpoints are skipped with a log line; the rest join as
+// static members weighted by their advertised pool width. client must
+// be non-nil.
+func (r *Registry) AddRemote(ctx context.Context, client *http.Client, token string, endpoints []string) error {
+	hellos := make([]Hello, len(endpoints))
+	errs := make([]error, len(endpoints))
+	var wg sync.WaitGroup
+	for i, ep := range endpoints {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for attempt := 1; ; attempt++ {
+				hellos[i], errs[i] = Probe(ctx, client, ep, token)
+				if errs[i] == nil || attempt == 3 || sleepCtx(ctx, 300*time.Millisecond) != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A cancelled caller is a cancellation, not a fleet of unreachable
+	// workers.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, ep := range endpoints {
+		if errs[i] == nil && hellos[i].Version != ProtocolVersion {
+			return fmt.Errorf("dist: worker %s runs %s, coordinator runs %s: refusing to mix timing models",
+				ep, hellos[i].Version, ProtocolVersion)
+		}
+	}
+	for i, ep := range endpoints {
+		switch {
+		case errs[i] != nil:
+			r.logf("dist: skipping unreachable worker %s: %v", ep, errs[i])
+		case hellos[i].Draining:
+			r.logf("dist: skipping draining worker %s", ep)
+		default:
+			r.Add(ep, hellos[i].Workers, true, "")
+		}
+	}
+	return nil
+}
+
 // Leave removes a member voluntarily (a draining worker's /leave): no
 // quarantine, no penalty — the worker said goodbye, and a later register
 // (same or new instance) readmits it immediately.
@@ -253,20 +305,16 @@ func (r *Registry) Live() []Member {
 	return out
 }
 
-// Handler returns the registration endpoint (PathRegister) and marks the
-// registry dynamic. Mount it on the coordinator's fleet listener
-// (vbisweep -fleet / vbibench -fleet). Requests are auth-gated when
-// AuthToken is set, and a registration carrying a different
+// Handler returns the fleet routes (Mount) on a fresh mux behind the
+// AuthToken gate, and marks the registry dynamic. Serve it on the
+// coordinator's fleet listener (vbisweep -fleet / vbibench -fleet). A
+// registration carrying a different
 // ProtocolVersion is refused with 412 so a stale worker binary fails
 // loudly at join time instead of poisoning a sweep.
 func (r *Registry) Handler() http.Handler {
-	r.mu.Lock()
-	r.dynamic = true
-	r.mu.Unlock()
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathRegister, r.handleRegister)
-	mux.HandleFunc(PathLeave, r.handleLeave)
-	return requireAuth(r.AuthToken, mux)
+	r.Mount(mux)
+	return RequireAuth(r.AuthToken, mux)
 }
 
 // Mount registers the fleet routes on an existing mux (and marks the
@@ -280,25 +328,6 @@ func (r *Registry) Mount(mux *http.ServeMux) {
 	r.mu.Unlock()
 	mux.HandleFunc(PathRegister, r.handleRegister)
 	mux.HandleFunc(PathLeave, r.handleLeave)
-}
-
-// ServeFleet binds a registration listener for dynamic workers: the CLI
-// front-ends' -fleet flag. It warns (to logw) when the bind is reachable
-// beyond loopback with neither a token nor TLS, starts serving joins
-// (HTTPS when tlsCfg is non-nil), and returns the registry to hand to a
-// Coordinator plus the server to Close when the sweep ends. prog names
-// the calling binary in the log lines.
-func ServeFleet(addr, token, prog string, tlsCfg *tls.Config, logw io.Writer) (*Registry, io.Closer, error) {
-	if token == "" && tlsCfg == nil && NonLoopbackBind(addr) {
-		fmt.Fprintf(logw, "%s: warning: fleet listener %s is reachable beyond loopback with no -auth-token or TLS; any host can serve shards\n", prog, addr)
-	}
-	reg := &Registry{AuthToken: token, Log: logw}
-	srv, bound, err := Serve(addr, reg.Handler(), tlsCfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet listener: %w", err)
-	}
-	fmt.Fprintf(logw, "%s: fleet listening on %s (workers join with vbiworker -join)\n", prog, bound)
-	return reg, srv, nil
 }
 
 func (r *Registry) handleRegister(rw http.ResponseWriter, req *http.Request) {

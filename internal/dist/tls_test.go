@@ -239,15 +239,14 @@ func TestWorkerDrain(t *testing.T) {
 		t.Errorf("draining /run = %v, want retryable draining error", retry)
 	}
 
-	// A static handshake must skip the draining worker instead of
+	// Seeding -remote must skip the draining worker instead of
 	// scheduling onto it.
-	coord := &Coordinator{Endpoints: []string{base}}
-	hellos, err := coord.handshake(context.Background())
-	if err != nil {
+	seeded := &Registry{}
+	if err := seeded.AddRemote(context.Background(), http.DefaultClient, "", []string{base}); err != nil {
 		t.Fatal(err)
 	}
-	if len(hellos) != 0 {
-		t.Errorf("handshake selected %d workers, want 0 (draining)", len(hellos))
+	if n := len(seeded.Live()); n != 0 {
+		t.Errorf("AddRemote registered %d workers, want 0 (draining)", n)
 	}
 
 	// Voluntary leave: joined, then left, with no quarantine on rejoin.

@@ -92,7 +92,7 @@ func (w *Worker) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", nhpprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", nhpprof.Trace)
 	}
-	return requireAuth(w.AuthToken, mux)
+	return RequireAuth(w.AuthToken, mux)
 }
 
 func writeJSON(rw http.ResponseWriter, status int, v any) {

@@ -161,13 +161,12 @@ x_seconds_count{worker="w1"} 5
 	}
 }
 
-func TestWriteFamilyAndSortSamples(t *testing.T) {
+func TestWriteFamily(t *testing.T) {
 	samples := []Sample{
-		S(int64(2), L("worker", "b")),
 		S(int64(1), L("worker", "a")),
+		S(int64(2), L("worker", "b")),
 		S(3.5, L("worker", "c"), L("quantile", "0.5")),
 	}
-	SortSamples(samples)
 	var buf bytes.Buffer
 	WriteFamily(&buf, "f_total", "Help text.", "counter", samples)
 	want := `# HELP f_total Help text.

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -11,8 +10,8 @@ import (
 // lines of header per family plus one line per sample, hand-rolled
 // because the format is trivial and a client library is a dependency
 // this repo does not take. Rendering is deterministic — callers pass
-// samples in sorted order (SortSamples helps), so two scrapes of the
-// same state are byte-identical and diffable. Both the worker's
+// samples in sorted order, so two scrapes of the same state are
+// byte-identical and diffable. Both the worker's
 // /metrics and sweepd's use it, so the exposition style cannot drift
 // between daemons.
 
@@ -34,23 +33,6 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // S builds a sample.
 func S(value any, labels ...Label) Sample { return Sample{Labels: labels, Value: value} }
-
-// SortSamples orders samples by their rendered label sets, giving every
-// family a deterministic line order regardless of how the samples were
-// gathered.
-func SortSamples(samples []Sample) {
-	sort.SliceStable(samples, func(i, j int) bool {
-		return labelKey(samples[i].Labels) < labelKey(samples[j].Labels)
-	})
-}
-
-func labelKey(labels []Label) string {
-	s := ""
-	for _, l := range labels {
-		s += l.Key + "\x00" + l.Value + "\x00"
-	}
-	return s
-}
 
 // WriteFamily renders one metric family: HELP/TYPE header plus each
 // sample in the given order.

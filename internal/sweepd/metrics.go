@@ -80,8 +80,8 @@ func perWorker(workers []dist.WorkerStats, count func(dist.WorkerStats) int64) [
 	return out
 }
 
-// perSweep renders a per-sweep float gauge map as sorted samples.
-func perSweep(values map[string]float64) []obs.Sample {
+// perSweep renders a per-sweep gauge map as samples sorted by sweep ID.
+func perSweep[V int | float64](values map[string]V) []obs.Sample {
 	ids := make([]string, 0, len(values))
 	for id := range values {
 		ids = append(ids, id)
@@ -112,16 +112,8 @@ func (m *metrics) WriteMetrics(w io.Writer, gauges gauges) {
 	}
 	obs.WriteFamily(w, "sweepd_sweeps", "Known sweeps by state.", "gauge", states)
 
-	var depths []obs.Sample
-	ids := make([]string, 0, len(gauges.queueDepths))
-	for id := range gauges.queueDepths {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		depths = append(depths, obs.S(gauges.queueDepths[id], obs.L("sweep", id)))
-	}
-	obs.WriteFamily(w, "sweepd_queue_depth_shards", "Pending shards per active sweep.", "gauge", depths)
+	obs.WriteFamily(w, "sweepd_queue_depth_shards", "Pending shards per active sweep.", "gauge",
+		perSweep(gauges.queueDepths))
 	obs.WriteFamily(w, "sweepd_jobs_queued", "Jobs not yet completed across active sweeps.", "gauge",
 		[]obs.Sample{obs.S(gauges.jobsQueued)})
 	obs.WriteFamily(w, "sweepd_jobs_in_flight", "Jobs currently dispatched to workers.", "gauge",

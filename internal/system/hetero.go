@@ -69,14 +69,11 @@ type HeteroConfig struct {
 	Warmup int
 	Seed   uint64
 	// ChunkSize segments large structures into VBs of at most this size
-	// (default 64 MB), giving placement its granularity.
+	// (default 16 MB), giving placement its granularity.
 	ChunkSize uint64
-	// EpochRefs is the migration-policy period (default
-	// Params.HeteroEpochRefs, i.e. 25k references; scaled to simulation
-	// length, see DESIGN.md).
-	EpochRefs int
 	// Params overlays the tunable hardware/OS knobs, including the
-	// hetero-specific epoch length and migration amortization.
+	// hetero-specific epoch length (HeteroEpochRefs, the migration-policy
+	// period) and migration amortization.
 	Params Params
 }
 
@@ -93,9 +90,6 @@ func (c HeteroConfig) withDefaults() HeteroConfig {
 	}
 	if c.ChunkSize == 0 {
 		c.ChunkSize = 16 << 20
-	}
-	if c.EpochRefs == 0 {
-		c.EpochRefs = c.Params.HeteroEpochRefs
 	}
 	return c
 }
@@ -317,7 +311,7 @@ func (h *HeteroMachine) Run() (RunResult, error) {
 		if steps == h.cfg.Warmup {
 			h.runner.beginMeasurement()
 		}
-		if h.cfg.Policy == PolicyVBI && steps%h.cfg.EpochRefs == 0 {
+		if h.cfg.Policy == PolicyVBI && steps%h.cfg.Params.HeteroEpochRefs == 0 {
 			h.migrationEpoch()
 		}
 	}
