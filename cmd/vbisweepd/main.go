@@ -109,7 +109,7 @@ func main() {
 	// Static workers are seeded before the journal replays, under the
 	// one-shot coordinator's policy: a stale one stops the daemon here.
 	remotes := dist.ApplyScheme(dist.SplitEndpoints(*remote), tlsOpts.Scheme())
-	if err := srv.Fleet.AddRemote(ctx, client, token, remotes); err != nil {
+	if _, err := srv.Fleet.AddRemote(ctx, client, token, remotes); err != nil {
 		fatal(err)
 	}
 	if err := srv.Start(ctx); err != nil {

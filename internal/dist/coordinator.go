@@ -273,11 +273,13 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		// starts, because static members are never evicted.
 		reg = &Registry{Log: c.Progress}
 	}
-	if err := reg.AddRemote(ctx, c.client(), c.AuthToken, c.Endpoints); err != nil {
+	skipped, err := reg.AddRemote(ctx, c.client(), c.AuthToken, c.Endpoints)
+	if err != nil {
 		return nil, err
 	}
 	if len(reg.Live()) == 0 && !reg.Dynamic() {
-		return nil, fmt.Errorf("dist: no live workers among %s", strings.Join(c.Endpoints, ","))
+		return nil, fmt.Errorf("dist: no live workers among %s (skipped %s)",
+			strings.Join(c.Endpoints, ","), strings.Join(skipped, "; "))
 	}
 
 	s := c.NewScheduler(reg)

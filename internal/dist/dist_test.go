@@ -200,6 +200,37 @@ func TestAllWorkersDeadFails(t *testing.T) {
 	}
 }
 
+// TestNoLiveWorkersNamesSkipped asserts that a run whose every endpoint
+// is skipped fails with an error naming each endpoint and why it was
+// skipped: the probe error of a closed listener or of a wrong token, or
+// "draining". The skip log alone is silent without -v.
+func TestNoLiveWorkersNamesSkipped(t *testing.T) {
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+	locked := httptest.NewServer((&Worker{Runner: &harness.Runner{Workers: 1}, AuthToken: "sesame"}).Handler())
+	t.Cleanup(locked.Close)
+	w := &Worker{Runner: &harness.Runner{Workers: 1}}
+	w.SetDraining(true)
+	draining := httptest.NewServer(w.Handler())
+	t.Cleanup(draining.Close)
+
+	coord := &Coordinator{Endpoints: []string{closed.URL, locked.URL, draining.URL}, AuthToken: "wrong"}
+	_, err := coord.Run(context.Background(), testJobs(t))
+	if err == nil {
+		t.Fatal("run with no live worker succeeded")
+	}
+	for _, want := range []string{
+		"no live workers",
+		closed.URL + ": ", "connection refused",
+		locked.URL + ": healthz: 401",
+		draining.URL + ": draining",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+	}
+}
+
 // TestStaleCoordinatorVersionFatal asserts the handshake gate: an
 // endpoint advertising a different harness version aborts the run before
 // any job is dispatched.

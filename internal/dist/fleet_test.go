@@ -160,7 +160,7 @@ func TestAddRemote(t *testing.T) {
 		t.Helper()
 		var log bytes.Buffer
 		reg := &Registry{Log: &log}
-		err := reg.AddRemote(context.Background(), http.DefaultClient, "", endpoints)
+		_, err := reg.AddRemote(context.Background(), http.DefaultClient, "", endpoints)
 		return reg, log.String(), err
 	}
 

@@ -172,10 +172,11 @@ func (r *Registry) Remove(id string) {
 // ProtocolVersion, AddRemote registers nothing and returns an error
 // naming it: a stale worker binary means the fleet disagrees about the
 // timing model, and silently excluding it would hide that. Unreachable
-// and draining endpoints are skipped with a log line; the rest join as
-// static members weighted by their advertised pool width. client must
-// be non-nil.
-func (r *Registry) AddRemote(ctx context.Context, client *http.Client, token string, endpoints []string) error {
+// and draining endpoints are skipped with a log line and returned as
+// "<endpoint>: <reason>" (the probe error, or "draining"), so a caller
+// left with no live worker can say why; the rest join as static members
+// weighted by their advertised pool width. client must be non-nil.
+func (r *Registry) AddRemote(ctx context.Context, client *http.Client, token string, endpoints []string) (skipped []string, err error) {
 	hellos := make([]Hello, len(endpoints))
 	errs := make([]error, len(endpoints))
 	var wg sync.WaitGroup
@@ -195,11 +196,11 @@ func (r *Registry) AddRemote(ctx context.Context, client *http.Client, token str
 	// A cancelled caller is a cancellation, not a fleet of unreachable
 	// workers.
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	for i, ep := range endpoints {
 		if errs[i] == nil && hellos[i].Version != ProtocolVersion {
-			return fmt.Errorf("dist: worker %s runs %s, coordinator runs %s: refusing to mix timing models",
+			return nil, fmt.Errorf("dist: worker %s runs %s, coordinator runs %s: refusing to mix timing models",
 				ep, hellos[i].Version, ProtocolVersion)
 		}
 	}
@@ -207,13 +208,15 @@ func (r *Registry) AddRemote(ctx context.Context, client *http.Client, token str
 		switch {
 		case errs[i] != nil:
 			r.logf("dist: skipping unreachable worker %s: %v", ep, errs[i])
+			skipped = append(skipped, fmt.Sprintf("%s: %v", ep, errs[i]))
 		case hellos[i].Draining:
 			r.logf("dist: skipping draining worker %s", ep)
+			skipped = append(skipped, ep+": draining")
 		default:
 			r.Add(ep, hellos[i].Workers, true, "")
 		}
 	}
-	return nil
+	return skipped, nil
 }
 
 // Leave removes a member voluntarily (a draining worker's /leave): no

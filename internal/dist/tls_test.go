@@ -242,7 +242,7 @@ func TestWorkerDrain(t *testing.T) {
 	// Seeding -remote must skip the draining worker instead of
 	// scheduling onto it.
 	seeded := &Registry{}
-	if err := seeded.AddRemote(context.Background(), http.DefaultClient, "", []string{base}); err != nil {
+	if _, err := seeded.AddRemote(context.Background(), http.DefaultClient, "", []string{base}); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(seeded.Live()); n != 0 {

@@ -244,7 +244,9 @@ func (m *MTL) Prefill(u addr.VBUID, n uint64) error {
 	if n > u.Size() {
 		n = u.Size()
 	}
-	for region := uint64(0); region <= (n-1)>>RegionShift; region++ {
+	last := (n - 1) >> RegionShift
+	vb.regions.reserve(last + 1)
+	for region := uint64(0); region <= last; region++ {
 		if _, err := m.allocateRegion(vb, region); err != nil {
 			return err
 		}

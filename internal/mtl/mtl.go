@@ -22,6 +22,7 @@ package mtl
 
 import (
 	"fmt"
+	"slices"
 
 	"vbi/internal/addr"
 	"vbi/internal/memdata"
@@ -223,6 +224,14 @@ const (
 func (r *regionTab) grow(region uint64) {
 	if region >= uint64(len(r.tab)) {
 		r.tab = append(r.tab, make([]uint64, region+1-uint64(len(r.tab)))...)
+	}
+}
+
+// reserve sizes the table's capacity for n regions in one allocation. The
+// length, and so limit(), still grows only as regions are touched.
+func (r *regionTab) reserve(n uint64) {
+	if n > uint64(len(r.tab)) {
+		r.tab = slices.Grow(r.tab, int(n)-len(r.tab))
 	}
 }
 

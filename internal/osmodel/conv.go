@@ -81,16 +81,43 @@ func (p *ConvProcess) TouchTranslate(va uint64) (pa phys.Addr, fault bool, err e
 		return pa, false, nil
 	}
 	pageSize := p.os.Geo.PageSize()
-	frame, ok := p.os.alloc.AllocSized(pageSize)
-	if !ok {
-		return phys.NoAddr, false, errOutOfMemory
-	}
-	if err := p.Table.Map(va&^(pageSize-1), frame); err != nil {
+	frame, err := p.fault(va &^ (pageSize - 1))
+	if err != nil {
 		return phys.NoAddr, false, err
+	}
+	return frame + phys.Addr(va&(pageSize-1)), true, nil
+}
+
+// Populate demand-pages [base, end) at startup, exactly as Touch of base,
+// base+PageSize, ... below end would, but through the table's leaf memo:
+// one descent per leaf node instead of two per page.
+func (p *ConvProcess) Populate(base, end uint64) error {
+	pageSize := p.os.Geo.PageSize()
+	for va := base; va < end; va += pageSize {
+		page := va &^ (pageSize - 1)
+		if p.Table.Present(page) {
+			continue
+		}
+		if _, err := p.fault(page); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fault takes the minor fault for the unmapped page at page: it allocates
+// a frame, then maps it (allocating any missing table nodes after it).
+func (p *ConvProcess) fault(page uint64) (phys.Addr, error) {
+	frame, ok := p.os.alloc.AllocSized(p.os.Geo.PageSize())
+	if !ok {
+		return phys.NoAddr, errOutOfMemory
+	}
+	if err := p.Table.Map(page, frame); err != nil {
+		return phys.NoAddr, err
 	}
 	p.os.Stats.MinorFaults++
 	p.os.Stats.PagesMapped++
-	return frame + phys.Addr(va&(pageSize-1)), true, nil
+	return frame, nil
 }
 
 // Translate returns the physical address of va, which must be mapped.

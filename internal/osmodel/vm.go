@@ -77,7 +77,7 @@ func (b backedAlloc) AllocSized(size uint64) (phys.Addr, bool) {
 func (g *GuestVM) backGPA(gpa uint64, n uint64) error {
 	pageSize := g.host.Geo.PageSize()
 	for base := gpa &^ (pageSize - 1); base < gpa+n; base += pageSize {
-		if _, ok := g.Nested.Host.Lookup(base); ok {
+		if g.Nested.Host.Present(base) {
 			continue
 		}
 		hpa, ok := g.host.alloc.AllocSized(pageSize)
@@ -104,23 +104,48 @@ func (g *GuestVM) Mmap(size uint64) uint64 {
 // the guest OS faults in a guest-physical page, and the hypervisor backs
 // it with host memory.
 func (g *GuestVM) Touch(gva uint64) (fault bool, err error) {
-	pageSize := g.host.Geo.PageSize()
-	pageVA := gva &^ (pageSize - 1)
+	pageVA := gva &^ (g.host.Geo.PageSize() - 1)
 	if _, ok := g.Nested.Guest.Lookup(pageVA); ok {
 		return false, nil
 	}
-	gpa, ok := g.galloc.AllocSized(pageSize)
-	if !ok {
-		return false, fmt.Errorf("osmodel: guest memory exhausted")
-	}
-	if err := g.Nested.Guest.Map(pageVA, gpa); err != nil {
-		return false, err
-	}
-	g.host.Stats.GuestFaults++
-	if err := g.backGPA(uint64(gpa), pageSize); err != nil {
+	if err := g.fault(pageVA); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// Populate demand-pages [base, end) at startup, exactly as Touch of base,
+// base+PageSize, ... below end would, but through both tables' leaf
+// memos: one descent per leaf node instead of two per page.
+func (g *GuestVM) Populate(base, end uint64) error {
+	pageSize := g.host.Geo.PageSize()
+	for va := base; va < end; va += pageSize {
+		pageVA := va &^ (pageSize - 1)
+		if g.Nested.Guest.Present(pageVA) {
+			continue
+		}
+		if err := g.fault(pageVA); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fault takes the guest fault for the unmapped page at pageVA, in the
+// order the golden results depend on: the data gPA first, then the guest
+// table nodes with their host backing, then the host backing of the data
+// gPA.
+func (g *GuestVM) fault(pageVA uint64) error {
+	pageSize := g.host.Geo.PageSize()
+	gpa, ok := g.galloc.AllocSized(pageSize)
+	if !ok {
+		return fmt.Errorf("osmodel: guest memory exhausted")
+	}
+	if err := g.Nested.Guest.Map(pageVA, gpa); err != nil {
+		return err
+	}
+	g.host.Stats.GuestFaults++
+	return g.backGPA(uint64(gpa), pageSize)
 }
 
 // Translate fully translates a guest-virtual address to host-physical.

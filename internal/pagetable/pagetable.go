@@ -66,6 +66,11 @@ type FrameSource interface {
 // node index with plain array reads, and demand-paging prefill never
 // rehashes. Interior entries hold the child's node index; leaf-level
 // entries hold the mapped frame.
+//
+// Map and Present remember the leaf-level node they last reached, so a
+// prefill that maps page after page descends once per leaf node. The memo
+// needs no invalidation: nodes are never freed and an interior entry, once
+// set, never changes. Lookup and walk carry no memo (DESIGN.md §9).
 type Table struct {
 	Geo   Geometry
 	alloc FrameSource
@@ -80,7 +85,15 @@ type Table struct {
 	// walkBuf is the access scratch behind WalkResult.Accesses; inline,
 	// so a table costs no allocation beyond its nodes.
 	walkBuf [maxLevels]phys.Addr
+	// memoPrefix is the leaf-level prefix (prefixAt(va, Levels-1)) of the
+	// node Map or Present last reached, and memoNode that node's index.
+	// noPrefix until the first descent: a prefix is va shifted right by
+	// at least 9 bits, so it is never all ones.
+	memoPrefix, memoNode uint64
 }
+
+// noPrefix marks an empty leaf memo.
+const noPrefix = ^uint64(0)
 
 // absentEntry marks a non-present entry. It can never collide with a
 // payload: child node indexes are small, and mapped frames are page-aligned
@@ -92,7 +105,7 @@ func New(geo Geometry, alloc FrameSource) (*Table, error) {
 	if geo.Levels < 1 || geo.Levels > maxLevels {
 		return nil, fmt.Errorf("pagetable: %d levels outside 1..%d", geo.Levels, maxLevels)
 	}
-	t := &Table{Geo: geo, alloc: alloc}
+	t := &Table{Geo: geo, alloc: alloc, memoPrefix: noPrefix}
 	for k := range t.masks {
 		t.masks[k] = 1<<indexBits - 1
 	}
@@ -158,32 +171,52 @@ func pteAddr(node phys.Addr, index uint64) phys.Addr {
 }
 
 // Map installs va -> frame. The va and frame must be page-aligned for the
-// geometry. Intermediate nodes are allocated on demand.
+// geometry. Intermediate nodes are allocated on demand; a va in the leaf
+// node the last Map or Present reached skips the descent.
 func (t *Table) Map(va uint64, frame phys.Addr) error {
 	mask := t.Geo.PageSize() - 1
 	if va&mask != 0 || uint64(frame)&mask != 0 {
 		return fmt.Errorf("pagetable: unaligned mapping %#x -> %v", va, frame)
 	}
-	ni := uint64(0)
-	for k := 0; k < t.Geo.Levels-1; k++ {
-		idx := t.indexAt(va, k)
-		next := t.entries[ni][idx]
-		if next == absentEntry {
-			n, ok := t.newNode(phys.FrameSize, 1<<indexBits)
-			if !ok {
-				return fmt.Errorf("pagetable: out of memory allocating node")
+	prefix := t.prefixAt(va, t.Geo.Levels-1)
+	if prefix != t.memoPrefix {
+		ni := uint64(0)
+		for k := 0; k < t.Geo.Levels-1; k++ {
+			idx := t.indexAt(va, k)
+			next := t.entries[ni][idx]
+			if next == absentEntry {
+				n, ok := t.newNode(phys.FrameSize, 1<<indexBits)
+				if !ok {
+					return fmt.Errorf("pagetable: out of memory allocating node")
+				}
+				t.entries[ni][idx] = n
+				next = n
 			}
-			t.entries[ni][idx] = n
-			next = n
+			ni = next
 		}
-		ni = next
+		t.memoPrefix, t.memoNode = prefix, ni
 	}
-	leaf := &t.entries[ni][t.indexAt(va, t.Geo.Levels-1)]
+	leaf := &t.entries[t.memoNode][t.indexAt(va, t.Geo.Levels-1)]
 	if *leaf == absentEntry {
 		t.mapped++
 	}
 	*leaf = uint64(frame)
 	return nil
+}
+
+// Present reports whether the page holding va is mapped. It is Lookup for
+// the set-up path: it consults and refreshes the leaf memo Map keeps, so a
+// prefill's check-then-map costs one descent per leaf node.
+func (t *Table) Present(va uint64) bool {
+	prefix := t.prefixAt(va, t.Geo.Levels-1)
+	if prefix != t.memoPrefix {
+		ni, ok := t.nodeFor(va)
+		if !ok {
+			return false
+		}
+		t.memoPrefix, t.memoNode = prefix, ni
+	}
+	return t.entries[t.memoNode][t.indexAt(va, t.Geo.Levels-1)] != absentEntry
 }
 
 // Unmap removes the leaf mapping for va (intermediate nodes are retained).

@@ -242,11 +242,17 @@ func requireSameStats(t *testing.T, what string, got, want *tlb.PWC) {
 
 // TestTableMatchesMapReference drives the flat table and the map-backed
 // reference through the same seeded Map/Unmap/remap sequence and requires
-// identical lookups, walks (with and without a PWC, including walks that
-// fault on a hole), PWC statistics, node allocation and leaf counts, for
-// the conventional geometries and every shape the MTL builds.
+// identical lookups, presence checks, walks (with and without a PWC,
+// including walks that fault on a hole), PWC statistics, node allocation
+// and leaf counts, for the conventional geometries and every shape the
+// MTL builds. Interleaved with the random operations are prefill-style
+// sequential runs (Present, then Map if absent, page after page) that
+// cross leaf-node boundaries, so the leaf memo Map and Present share is
+// exercised against every other operation.
 func TestTableMatchesMapReference(t *testing.T) {
 	for _, geo := range append([]Geometry{Page4K, Page2M}, mtlGeometries...) {
+		span := uint64(1) << (geo.PageShift + geo.RootBits + uint(indexBits*(geo.Levels-1)))
+		leafSpan := geo.PageSize() << indexBits
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			flat, err := New(geo, phys.NewBump(0, 64<<20))
@@ -257,14 +263,31 @@ func TestTableMatchesMapReference(t *testing.T) {
 			flatPWC, refPWC := tlb.NewPWC("PWC", 8), tlb.NewPWC("PWC", 8)
 			for i := 0; i < 3000; i++ {
 				va := randomVA(rng, geo)
-				switch op := rng.Intn(10); {
-				case op < 5: // map or remap
+				switch op := rng.Intn(50); {
+				case op < 1: // sequential run across a leaf-node boundary
+					start := va&^(leafSpan-1) - uint64(1+rng.Intn(1<<indexBits))*geo.PageSize()
+					for n := 1<<indexBits + rng.Intn(1<<indexBits); n > 0; n-- {
+						page := start % span
+						start += geo.PageSize()
+						_, want := ref.Lookup(page)
+						if got := flat.Present(page); got != want {
+							t.Fatalf("geo %+v seed %d op %d: Present(%#x) = %v, reference %v", geo, seed, i, page, got, want)
+						}
+						if !want {
+							frame := dataFrame(rng, geo)
+							if err := flat.Map(page, frame); err != nil {
+								t.Fatal(err)
+							}
+							ref.Map(page, frame)
+						}
+					}
+				case op < 25: // map or remap
 					frame := dataFrame(rng, geo)
 					if err := flat.Map(va, frame); err != nil {
 						t.Fatal(err)
 					}
 					ref.Map(va, frame)
-				case op < 7:
+				case op < 35:
 					if got, want := flat.Unmap(va), ref.Unmap(va); got != want {
 						t.Fatalf("geo %+v seed %d op %d: Unmap(%#x) = %v, reference %v", geo, seed, i, va, got, want)
 					}
@@ -274,6 +297,9 @@ func TestTableMatchesMapReference(t *testing.T) {
 					wantPA, wantOK := ref.Lookup(va)
 					if gotPA != wantPA || gotOK != wantOK {
 						t.Fatalf("Lookup(%#x) = %v,%v reference %v,%v", va, gotPA, gotOK, wantPA, wantOK)
+					}
+					if got := flat.Present(va); got != wantOK {
+						t.Fatalf("Present(%#x) = %v, reference %v", va, got, wantOK)
 					}
 					requireSameWalk(t, "Walk", flat.Walk(va, nil), ref.Walk(va, nil))
 					requireSameWalk(t, "Walk with PWC", flat.Walk(va, flatPWC), ref.Walk(va, refPWC))

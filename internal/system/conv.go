@@ -74,12 +74,8 @@ func (r *runner) initConv(cfg Config, ss *sharedState) error {
 			r.bases = append(r.bases, base)
 			// Initialization pass: the guest writes its live data before
 			// the simulated region begins.
-			pageSize := geo.PageSize()
-			end := base + s.WarmBytes()
-			for va := base; va < end; va += pageSize {
-				if _, err := vm.Touch(va); err != nil {
-					return err
-				}
+			if err := vm.Populate(base, base+s.WarmBytes()); err != nil {
+				return err
 			}
 		}
 	default:
@@ -96,12 +92,8 @@ func (r *runner) initConv(cfg Config, ss *sharedState) error {
 			r.bases = append(r.bases, base)
 			// Initialization pass (demand paging happens at startup, not
 			// during the simulated region).
-			pageSize := geo.PageSize()
-			end := base + s.WarmBytes()
-			for va := base; va < end; va += pageSize {
-				if _, err := proc.Touch(va); err != nil {
-					return err
-				}
+			if err := proc.Populate(base, base+s.WarmBytes()); err != nil {
+				return err
 			}
 		}
 	}
