@@ -11,12 +11,13 @@ import (
 )
 
 // goldenRefs keeps the byte-identity matrix fast while still driving every
-// probe path through evictions, writebacks and (for the hetero run) one
-// migration epoch.
+// probe path through evictions, writebacks and (for the VBI-policy hetero
+// runs) one migration epoch.
 const goldenRefs = 20_000
 
-// goldenResults runs every registered kind plus one hetero machine and
-// returns the RunResult list in deterministic order.
+// goldenResults runs every registered kind plus four hetero machines (both
+// memories, all three placement policies) and returns the RunResult list
+// in deterministic order.
 func goldenResults(t *testing.T) []RunResult {
 	t.Helper()
 	prof := workloads.MustGet("mcf")
@@ -32,22 +33,30 @@ func goldenResults(t *testing.T) []RunResult {
 		}
 		out = append(out, res)
 	}
-	h, err := NewHetero(HeteroConfig{
-		Mem: HeteroPCMDRAM, Policy: PolicyVBI, Refs: goldenRefs,
-	}, prof)
-	if err != nil {
-		t.Fatalf("hetero: %v", err)
+	// PCM-DRAM/VBI comes first: it was the only pinned hetero shape
+	// before the others were added, and its entry keeps its place.
+	for _, hc := range []HeteroConfig{
+		{Mem: HeteroPCMDRAM, Policy: PolicyVBI},
+		{Mem: HeteroPCMDRAM, Policy: PolicyUnaware},
+		{Mem: HeteroPCMDRAM, Policy: PolicyIdeal},
+		{Mem: HeteroTLDRAM, Policy: PolicyVBI},
+	} {
+		hc.Refs = goldenRefs
+		h, err := NewHetero(hc, prof)
+		if err != nil {
+			t.Fatalf("hetero %v/%v: %v", hc.Mem, hc.Policy, err)
+		}
+		res, err := h.Run()
+		if err != nil {
+			t.Fatalf("hetero %v/%v: %v", hc.Mem, hc.Policy, err)
+		}
+		out = append(out, res)
 	}
-	res, err := h.Run()
-	if err != nil {
-		t.Fatalf("hetero: %v", err)
-	}
-	out = append(out, res)
 	return out
 }
 
 // TestGoldenRunResults pins the simulated results of all ten registered
-// kinds plus a hetero migration run byte-for-byte against the committed
+// kinds plus the hetero placement runs byte-for-byte against the committed
 // goldens. The goldens were generated on the pre-map-free probe paths, so
 // this test IS the old-vs-new byte-identity proof for the hot-loop
 // rewrite: any change to LRU tick order, eviction choice, writeback
@@ -59,7 +68,7 @@ func goldenResults(t *testing.T) []RunResult {
 //	VBI_GOLDEN_REGEN=1 go test -run TestGoldenRunResults ./internal/system
 func TestGoldenRunResults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("byte-identity matrix runs all eleven machines; skipped in -short")
+		t.Skip("byte-identity matrix runs fourteen machines; skipped in -short")
 	}
 	checkGolden(t, "golden_runresults.json", goldenResults(t))
 }
