@@ -2,6 +2,8 @@
 // IPC, DRAM traffic and the system-specific event counters. The -system
 // flag resolves registered system specs (built-in kinds and declaratively
 // registered variants), and -param overlays individual Table 1 knobs.
+// The run is one harness.Job on a one-worker harness.Runner, so it builds
+// and steps its machine exactly as a sweep would.
 //
 // Usage:
 //
@@ -12,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -53,61 +56,30 @@ func main() {
 		return
 	}
 
-	prof, err := workloads.Get(*workload)
-	if err != nil {
-		fatal(err)
-	}
 	overlay, err := params.Overlay()
 	if err != nil {
 		fatal(err)
 	}
-
-	var res system.RunResult
+	job := harness.Job{Workloads: []string{*workload}, Refs: *refs, Seed: *seed, Params: overlay}
+	systemSet := false
+	flag.Visit(func(f *flag.Flag) { systemSet = systemSet || f.Name == "system" })
 	if *hetero != "" {
 		// Heterogeneous runs are always VBI-2 over two zones; an explicit
-		// -system would be silently ignored, so reject the combination
-		// (mirroring harness.Job.Validate).
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "system" {
-				fatal(fmt.Errorf("-system %s conflicts with -hetero %s: heterogeneous runs are always VBI-2", *sysName, *hetero))
-			}
-		})
-		mem, err := system.ParseHeteroMem(*hetero)
-		if err != nil {
-			fatal(err)
-		}
-		pol, err := system.ParsePolicy(*policy)
-		if err != nil {
-			fatal(err)
-		}
-		m, err := system.NewHetero(system.HeteroConfig{
-			Mem: mem, Policy: pol, Refs: *refs, Seed: *seed,
-			Params: overlay}, prof)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = m.Run(); err != nil {
-			fatal(err)
-		}
-	} else {
+		// -system still reaches the job, whose Validate rejects it.
+		job.HeteroMem, job.Policy = *hetero, *policy
+	}
+	if *hetero == "" || systemSet {
 		spec, err := system.ResolveSpec(*sysName)
 		if err != nil {
 			fatal(err)
 		}
-		cfg, err := spec.Config()
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Refs, cfg.Seed = *refs, *seed
-		cfg.Params = system.Overlay(cfg.Params, overlay)
-		m, err := system.New(cfg, prof)
-		if err != nil {
-			fatal(err)
-		}
-		if res, err = m.Run(); err != nil {
-			fatal(err)
-		}
+		job.Spec = &spec
 	}
+	results, err := (&harness.Runner{Workers: 1}).Run(context.Background(), []harness.Job{job})
+	if err != nil {
+		fatal(err)
+	}
+	res := results[0].Results[0]
 
 	fmt.Printf("system:    %s\n", res.System)
 	fmt.Printf("workload:  %s\n", res.Workload)

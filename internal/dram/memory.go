@@ -10,6 +10,9 @@ package dram
 //     segment rows) has near timing and the rest far timing.
 type Memory struct {
 	routes []route
+	// chans lists the distinct channels in first-mapped order, so
+	// TotalStats sums them without allocating.
+	chans []*Channel
 }
 
 type route struct {
@@ -52,6 +55,12 @@ func NewTLDRAM(nearSize, totalSize uint64) *Memory {
 // Map routes [base, base+size) to ch. Later routes take precedence.
 func (m *Memory) Map(base, size uint64, ch *Channel) {
 	m.routes = append(m.routes, route{base, size, ch})
+	for _, c := range m.chans {
+		if c == ch {
+			return
+		}
+	}
+	m.chans = append(m.chans, ch)
 }
 
 // channel finds the routing entry for pa.
@@ -71,22 +80,12 @@ func (m *Memory) Access(pa uint64, now uint64, write bool) uint64 {
 }
 
 // Channels returns the distinct channels (for stats).
-func (m *Memory) Channels() []*Channel {
-	var out []*Channel
-	seen := map[*Channel]bool{}
-	for _, r := range m.routes {
-		if !seen[r.ch] {
-			seen[r.ch] = true
-			out = append(out, r.ch)
-		}
-	}
-	return out
-}
+func (m *Memory) Channels() []*Channel { return m.chans }
 
 // TotalStats sums stats across channels.
 func (m *Memory) TotalStats() Stats {
 	var s Stats
-	for _, ch := range m.Channels() {
+	for _, ch := range m.chans {
 		s.Reads += ch.Stats.Reads
 		s.Writes += ch.Stats.Writes
 		s.RowHits += ch.Stats.RowHits

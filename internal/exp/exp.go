@@ -139,22 +139,6 @@ func crossKeys(base system.Kind, series []system.Kind, apps []string) []runKey {
 	return keys
 }
 
-// runOne executes a single-core run serially (the figure-shape tests use
-// it; the figure functions go through the harness).
-func runOne(kind system.Kind, app string, o Options) (system.RunResult, error) {
-	prof := workloads.MustGet(app)
-	m, err := system.New(system.Config{Kind: kind, Refs: o.Refs, Seed: o.Seed}, prof)
-	if err != nil {
-		return system.RunResult{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return system.RunResult{}, err
-	}
-	o.logf("  %-14s %-14s IPC=%.4f DRAM=%d", kind, app, res.IPC, res.DRAMAccesses)
-	return res, nil
-}
-
 // appendAverages adds AVG (and optionally AVG-no-mcf) rows to a speedup
 // table whose per-app values are already present.
 func appendAverages(t *stats.Table, apps []string, noMcf bool) {
@@ -330,23 +314,6 @@ func Fig8(o Options) (*stats.Table, error) {
 		t.Series[i].Values = append(t.Series[i].Values, stats.Mean(t.Series[i].Values))
 	}
 	return t, nil
-}
-
-// runHetero executes one heterogeneous-memory policy run serially (used by
-// the shape tests; figHetero batches through the harness).
-func runHetero(mem system.HeteroMem, pol system.Policy, app string, o Options) (system.RunResult, error) {
-	m, err := system.NewHetero(system.HeteroConfig{
-		Mem: mem, Policy: pol, Refs: o.Refs, Seed: o.Seed},
-		workloads.MustGet(app))
-	if err != nil {
-		return system.RunResult{}, err
-	}
-	res, err := m.Run()
-	if err != nil {
-		return system.RunResult{}, err
-	}
-	o.logf("  %-22s %-14s IPC=%.4f", res.System, app, res.IPC)
-	return res, nil
 }
 
 // figHetero implements Figures 9 and 10: speedup of the VBI placement (and

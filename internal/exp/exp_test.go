@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"vbi/internal/harness"
 	"vbi/internal/system"
-	"vbi/internal/trace"
 	"vbi/internal/workloads"
 )
 
@@ -17,11 +17,12 @@ const shapeRefs = 150_000
 
 func ipcOf(t *testing.T, kind system.Kind, app string) float64 {
 	t.Helper()
-	res, err := runOne(kind, app, Options{Refs: shapeRefs})
+	k := runKey{kind: kind, app: app}
+	runs, err := runSingles(Options{Refs: shapeRefs}, []runKey{k})
 	if err != nil {
 		t.Fatalf("%v/%s: %v", kind, app, err)
 	}
-	return res.IPC
+	return runs[k].IPC
 }
 
 // TestFig6ShapeMcf asserts Figure 6's ordering on its most translation-
@@ -109,30 +110,23 @@ func TestFig8Shape(t *testing.T) {
 	t.Parallel()
 	o := Options{Refs: 40_000}
 	apps := workloads.Bundles["wl5"]
-	alone := map[string]float64{}
+	var keys []runKey
 	for _, a := range apps {
-		res, err := runOne(system.Native, a, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone[a] = res.IPC
+		keys = append(keys, runKey{kind: system.Native, app: a})
+	}
+	alone, err := runSingles(o, keys)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ws := func(kind system.Kind) float64 {
-		var profs []traceProfile
-		for _, a := range apps {
-			profs = append(profs, workloads.MustGet(a))
-		}
-		mc, err := system.NewMulticore(system.Config{Kind: kind, Refs: o.Refs}, profs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := mc.Run()
+		job := harness.Job{Spec: system.MustSpec(kind.String()), Workloads: apps, Refs: o.Refs}
+		results, err := o.exec().Run(o.ctx(), []harness.Job{job})
 		if err != nil {
 			t.Fatal(err)
 		}
 		total := 0.0
-		for i, r := range results {
-			total += r.IPC / alone[apps[i]]
+		for i, r := range results[0].Results {
+			total += r.IPC / alone[keys[i]].IPC
 		}
 		return total
 	}
@@ -158,19 +152,18 @@ func TestFig910Shape(t *testing.T) {
 		t.Skip("shape test")
 	}
 	t.Parallel()
+	o := Options{Refs: 100_000}
 	for _, mem := range []system.HeteroMem{system.HeteroPCMDRAM, system.HeteroTLDRAM} {
-		base, err := runHetero(mem, system.PolicyUnaware, "sphinx3", Options{Refs: 100_000})
+		var jobs []harness.Job
+		for _, pol := range []system.Policy{system.PolicyUnaware, system.PolicyVBI, system.PolicyIdeal} {
+			jobs = append(jobs, harness.Job{Workloads: []string{"sphinx3"}, Refs: o.Refs,
+				HeteroMem: mem.String(), Policy: pol.String()})
+		}
+		results, err := o.exec().Run(o.ctx(), jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vbi, err := runHetero(mem, system.PolicyVBI, "sphinx3", Options{Refs: 100_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ideal, err := runHetero(mem, system.PolicyIdeal, "sphinx3", Options{Refs: 100_000})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, vbi, ideal := results[0].Results[0], results[1].Results[0], results[2].Results[0]
 		if !(vbi.IPC > base.IPC*1.05) {
 			t.Errorf("%v: VBI (%f) should beat hotness-unaware (%f)", mem, vbi.IPC, base.IPC)
 		}
@@ -195,9 +188,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// traceProfile aliases the profile type for the bundle helper.
-type traceProfile = trace.Profile
-
 // TestDRAMReductionShape asserts §7.2's traffic claim: delayed allocation
 // cuts total DRAM accesses (demand + translation + writeback) relative to
 // Perfect TLB on a cold-read-heavy application.
@@ -206,22 +196,15 @@ func TestDRAMReductionShape(t *testing.T) {
 		t.Skip("shape test")
 	}
 	t.Parallel()
-	perfect, err := runOne(system.PerfectTLB, "graph500", Options{Refs: shapeRefs})
+	keys := []runKey{
+		{kind: system.PerfectTLB, app: "graph500"}, {kind: system.VBI2, app: "graph500"},
+		{kind: system.VBIFull, app: "graph500"}, {kind: system.Native, app: "graph500"},
+	}
+	runs, err := runSingles(Options{Refs: shapeRefs}, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vbi2, err := runOne(system.VBI2, "graph500", Options{Refs: shapeRefs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vbiFull, err := runOne(system.VBIFull, "graph500", Options{Refs: shapeRefs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	native, err := runOne(system.Native, "graph500", Options{Refs: shapeRefs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	perfect, vbi2, vbiFull, native := runs[keys[0]], runs[keys[1]], runs[keys[2]], runs[keys[3]]
 	// Delayed allocation cuts traffic relative to Native, and adding early
 	// reservation (no walk traffic) drops VBI-Full below even Perfect TLB.
 	// (The paper's stronger claim — VBI-2 itself 46% below Perfect TLB —

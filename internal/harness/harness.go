@@ -161,8 +161,11 @@ func (j Job) Describe() string {
 	return out
 }
 
-// run executes the job on a freshly built machine.
+// run executes the job on a freshly built machine. It is the one place
+// that chooses between system.New, system.NewMulticore and
+// system.NewHetero; vbisim, the figures and the sweeps all run through it.
 func (j Job) run() ([]system.RunResult, error) {
+	var m *system.Machine
 	if j.HeteroMem != "" {
 		mem, err := system.ParseHeteroMem(j.HeteroMem)
 		if err != nil {
@@ -172,40 +175,33 @@ func (j Job) run() ([]system.RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := system.NewHetero(system.HeteroConfig{
+		if m, err = system.NewHetero(system.HeteroConfig{
 			Mem: mem, Policy: pol, Refs: j.Refs, Warmup: j.Warmup,
-			Seed: j.Seed, Params: j.Params}, workloads.MustGet(j.Workloads[0]))
+			Seed: j.Seed, Params: j.Params}, workloads.MustGet(j.Workloads[0])); err != nil {
+			return nil, err
+		}
+	} else {
+		cfg, err := j.Spec.Config()
 		if err != nil {
 			return nil, err
 		}
-		res, err := m.Run()
-		if err != nil {
+		cfg.Refs, cfg.Warmup, cfg.Seed = j.Refs, j.Warmup, j.Seed
+		cfg.Capacity, cfg.UniformTables = j.Capacity, j.UniformTables
+		cfg.Params = system.Overlay(cfg.Params, j.Params)
+		if len(j.Workloads) > 1 {
+			var profs []trace.Profile
+			for _, w := range j.Workloads {
+				profs = append(profs, workloads.MustGet(w))
+			}
+			mc, err := system.NewMulticore(cfg, profs)
+			if err != nil {
+				return nil, err
+			}
+			return mc.Run()
+		}
+		if m, err = system.New(cfg, workloads.MustGet(j.Workloads[0])); err != nil {
 			return nil, err
 		}
-		return []system.RunResult{res}, nil
-	}
-
-	cfg, err := j.Spec.Config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Refs, cfg.Warmup, cfg.Seed = j.Refs, j.Warmup, j.Seed
-	cfg.Capacity, cfg.UniformTables = j.Capacity, j.UniformTables
-	cfg.Params = system.Overlay(cfg.Params, j.Params)
-	if len(j.Workloads) > 1 {
-		var profs []trace.Profile
-		for _, w := range j.Workloads {
-			profs = append(profs, workloads.MustGet(w))
-		}
-		mc, err := system.NewMulticore(cfg, profs)
-		if err != nil {
-			return nil, err
-		}
-		return mc.Run()
-	}
-	m, err := system.New(cfg, workloads.MustGet(j.Workloads[0]))
-	if err != nil {
-		return nil, err
 	}
 	res, err := m.Run()
 	if err != nil {

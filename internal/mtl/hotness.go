@@ -67,15 +67,6 @@ func (m *MTL) ResetAccessCounts() {
 	}
 }
 
-// HomeZone returns the VB's current home zone index.
-func (m *MTL) HomeZone(u addr.VBUID) (int, error) {
-	vb, err := m.vb(u)
-	if err != nil {
-		return 0, err
-	}
-	return vb.zone, nil
-}
-
 // SetHomeZone changes where future allocations of the VB land without
 // moving existing data (initial-placement policies use it before first
 // touch).

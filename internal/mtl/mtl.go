@@ -75,29 +75,15 @@ type Config struct {
 	// including the tables Clone, Promote and MigrateVB build. Used by the
 	// ablation that quantifies the flexible-structure benefit.
 	UniformTables bool
-	// VITCacheEntries sizes the on-chip VIT cache (default 32).
-	VITCacheEntries int
-	// TLBL1Entries and TLBL2Entries size the MTL TLB levels (defaults 64
-	// and 512, mirroring the baseline TLB budget of Table 1).
-	TLBL1Entries int
-	TLBL2Entries int
-	// Placement picks the home zone for a VB at its first allocation
-	// (heterogeneous-memory systems override it); nil places in zone 0.
-	Placement func(p prop.Props) int
 }
 
-func (c Config) withDefaults() Config {
-	if c.VITCacheEntries == 0 {
-		c.VITCacheEntries = 32
-	}
-	if c.TLBL1Entries == 0 {
-		c.TLBL1Entries = 64
-	}
-	if c.TLBL2Entries == 0 {
-		c.TLBL2Entries = 512
-	}
-	return c
-}
+// Sizes of the MTL's on-chip structures: the VIT cache, and the two MTL
+// TLB levels, which mirror the baseline TLB budget of Table 1.
+const (
+	vitCacheEntries = 32
+	tlbL1Entries    = 64
+	tlbL2Entries    = 512
+)
 
 // Stats counts MTL events for the timing model and the experiments.
 type Stats struct {
@@ -305,14 +291,13 @@ func New(cfg Config, zones []*Zone) *MTL {
 	if len(zones) == 0 {
 		panic("mtl: no zones")
 	}
-	cfg = cfg.withDefaults()
 	return &MTL{
 		cfg:       cfg,
 		zones:     zones,
 		vbs:       make(map[addr.VBUID]*vbState),
-		vitCache:  tlb.New("VITcache", 1, cfg.VITCacheEntries),
-		tlbL1:     tlb.NewRange("MTL-TLB-L1", cfg.TLBL1Entries),
-		tlbL2:     tlb.NewRange("MTL-TLB-L2", cfg.TLBL2Entries),
+		vitCache:  tlb.New("VITcache", 1, vitCacheEntries),
+		tlbL1:     tlb.NewRange("MTL-TLB-L1", tlbL1Entries),
+		tlbL2:     tlb.NewRange("MTL-TLB-L2", tlbL2Entries),
 		swap:      memdata.New(),
 		files:     memdata.New(),
 		frameRefs: make(map[phys.Addr]int),
@@ -378,16 +363,11 @@ func (m *MTL) Enable(u addr.VBUID, p prop.Props) error {
 	if _, ok := m.vbs[u]; ok {
 		return fmt.Errorf("mtl: %v already enabled", u)
 	}
-	zone := 0
-	if m.cfg.Placement != nil {
-		zone = m.cfg.Placement(p)
-	}
 	m.vbs[u] = &vbState{
 		m:             m,
 		id:            u,
 		props:         p,
 		kind:          TransNone,
-		zone:          zone,
 		isFile:        p.Has(prop.MappedFile),
 		reservedOrder: -1,
 		blockShift:    RegionShift,

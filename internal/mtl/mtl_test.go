@@ -163,20 +163,21 @@ func TestZoneOf(t *testing.T) {
 	}
 }
 
+// TestPlacementPolicy checks that a VB's first allocation lands in the
+// home zone set for it before first touch.
 func TestPlacementPolicy(t *testing.T) {
 	zones := NewZones(map[string]uint64{"DRAM": 8 << 20, "PCM": 8 << 20}, []string{"DRAM", "PCM"})
-	m := New(Config{
-		Placement: func(p prop.Props) int {
-			if p.Has(prop.LatencySensitive) {
-				return 0
-			}
-			return 1
-		},
-	}, zones)
+	m := New(Config{}, zones)
 	hot := addr.MakeVBUID(addr.Size128KB, 1)
 	cold := addr.MakeVBUID(addr.Size128KB, 2)
 	m.Enable(hot, prop.LatencySensitive)
 	m.Enable(cold, 0)
+	if err := m.SetHomeZone(cold, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetHomeZone(cold, 2); err == nil {
+		t.Error("SetHomeZone accepted zone 2 of 2")
+	}
 	for _, u := range []addr.VBUID{hot, cold} {
 		if _, err := m.TranslateWriteback(addr.Make(u, 0)); err != nil {
 			t.Fatal(err)

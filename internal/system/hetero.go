@@ -68,30 +68,10 @@ type HeteroConfig struct {
 	Refs   int
 	Warmup int
 	Seed   uint64
-	// ChunkSize segments large structures into VBs of at most this size
-	// (default 16 MB), giving placement its granularity.
-	ChunkSize uint64
 	// Params overlays the tunable hardware/OS knobs, including the
 	// hetero-specific epoch length (HeteroEpochRefs, the migration-policy
 	// period) and migration amortization.
 	Params Params
-}
-
-func (c HeteroConfig) withDefaults() HeteroConfig {
-	c.Params = c.Params.withDefaults()
-	if c.Refs == 0 {
-		c.Refs = 1_000_000
-	}
-	if c.Warmup == 0 {
-		c.Warmup = c.Refs / 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 16 << 20
-	}
-	return c
 }
 
 // Zone geometry of the two architectures. The fast zones are scarce
@@ -115,22 +95,30 @@ const (
 	stickiness = 1.3
 )
 
-// HeteroMachine is a single-core VBI-2 system over a two-zone memory with
-// a pluggable placement policy.
-type HeteroMachine struct {
-	cfg    HeteroConfig
-	runner *runner
-	m      *mtl.MTL
+// heteroChunkShift segments large structures into VBs of at most 16 MB,
+// the granularity of placement and migration.
+const heteroChunkShift = 24
 
+// migrator is a heterogeneous-memory machine's placement state (§7.3).
+type migrator struct {
+	m *mtl.MTL
+	// label is the run's RunResult.System, "<policy> <memory>".
+	label string
+	// epoch is the migration period in steps under PolicyVBI
+	// (HeteroEpochRefs); 0 keeps the initial placement for the whole run.
+	epoch     int
 	fastBytes uint64
-	// declaredBytes per VB (chunk size), for placement budgeting.
+	// declared holds each VB's requested size, for placement budgeting.
 	declared map[addr.VBUID]uint64
 }
 
-// NewHetero builds the machine.
-func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
-	hc = hc.withDefaults()
-	if err := hc.Params.Validate(); err != nil {
+// NewHetero builds a single-core VBI-2 machine over a two-zone memory,
+// placing its VBs under the configured policy.
+func NewHetero(hc HeteroConfig, prof trace.Profile) (*Machine, error) {
+	// Config.withDefaults fills Refs, Warmup, Seed and Params, as for
+	// every other machine.
+	cfg := Config{Kind: VBI2, Refs: hc.Refs, Warmup: hc.Warmup, Seed: hc.Seed, Params: hc.Params}.withDefaults()
+	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
 	var mem *dram.Memory
@@ -149,19 +137,23 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 	sys := core.NewSystem(m)
 	vbios := osmodel.NewVBIOS(sys)
 
-	llc := cache.New("LLC", hc.Params.LLCSize, hc.Params.LLCWays)
-	r := newCore(VBI2, prof, hc.Seed, hc.Params, mem, llc, nil)
-	r.attachVBI(sys, vbios, hc.ChunkSize)
+	llc := cache.New("LLC", cfg.Params.LLCSize, cfg.Params.LLCWays)
+	r := newCore(VBI2, prof, cfg.Seed, cfg.Params, mem, llc, nil)
+	r.attachVBI(sys, vbios)
+	vbs, err := r.requestVBs(heteroChunkShift)
+	if err != nil {
+		return nil, err
+	}
 
-	h := &HeteroMachine{
-		cfg:       hc,
-		runner:    r,
+	mg := &migrator{
 		m:         m,
+		label:     fmt.Sprintf("%s %s", hc.Policy, hc.Mem),
 		fastBytes: uint64(float64(fast) * fastFill),
 		declared:  make(map[addr.VBUID]uint64),
 	}
-
-	// Allocate every structure as chunk-sized VBs and record them.
+	if hc.Policy == PolicyVBI {
+		mg.epoch = cfg.Params.HeteroEpochRefs
+	}
 	type chunkRef struct {
 		vb     addr.VBUID
 		s      trace.Struct
@@ -171,27 +163,12 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 		weight float64 // oracle/unaware placement key
 	}
 	var chunks []chunkRef
-	var vbsByStruct [][]addr.VBUID
 	for si, s := range prof.Structs {
-		var idxs []int
-		var vbs []addr.VBUID
-		n := (s.Size + hc.ChunkSize - 1) / hc.ChunkSize
-		for ci := uint64(0); ci < n; ci++ {
-			size := hc.ChunkSize
-			if (ci+1)*hc.ChunkSize > s.Size {
-				size = s.Size - ci*hc.ChunkSize
-			}
-			idx, u, err := vbios.RequestVB(r.vproc, size, workloads.PropsFor(s))
-			if err != nil {
-				return nil, err
-			}
-			idxs = append(idxs, idx)
-			vbs = append(vbs, u)
-			h.declared[u] = size
-			chunks = append(chunks, chunkRef{vb: u, s: s, sIdx: si, cIdx: int(ci), size: size})
+		for ci, u := range vbs[si] {
+			size := chunkLen(s.Size, ci, heteroChunkShift)
+			mg.declared[u] = size
+			chunks = append(chunks, chunkRef{vb: u, s: s, sIdx: si, cIdx: ci, size: size})
 		}
-		r.chunkIdx = append(r.chunkIdx, idxs)
-		vbsByStruct = append(vbsByStruct, vbs)
 	}
 
 	// Initial placement.
@@ -214,12 +191,12 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 			}
 		}
 	case PolicyIdeal:
-		counts := oracleChunkCounts(prof, hc)
+		counts := oracleChunkCounts(prof, cfg)
 		for i := range chunks {
 			chunks[i].weight = counts[[2]int{chunks[i].sIdx, chunks[i].cIdx}] / float64(chunks[i].size)
 		}
 		sort.SliceStable(chunks, func(i, j int) bool { return chunks[i].weight > chunks[j].weight })
-		budget := h.fastBytes
+		budget := mg.fastBytes
 		for _, c := range chunks {
 			z := 1
 			if c.weight > 0 && c.size <= budget {
@@ -236,7 +213,7 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 		// remaining budget fills in allocation order (so VBI starts no
 		// worse than the hotness-unaware fill). The epoch migration loop
 		// then refines placement from the MTL's counters.
-		budget := h.fastBytes
+		budget := mg.fastBytes
 		placed := make(map[addr.VBUID]bool)
 		for _, c := range chunks {
 			if !workloads.PropsFor(c.s).Has(prop.LatencySensitive) {
@@ -267,67 +244,32 @@ func NewHetero(hc HeteroConfig, prof trace.Profile) (*HeteroMachine, error) {
 
 	// Initialization pass, after placement so prefilled regions land in
 	// their policy-chosen zones.
-	for si, s := range prof.Structs {
-		warm := s.WarmBytes()
-		for ci, u := range vbsByStruct[si] {
-			chunkStart := uint64(ci) * hc.ChunkSize
-			if warm <= chunkStart {
-				break
-			}
-			n := warm - chunkStart
-			if n > hc.ChunkSize {
-				n = hc.ChunkSize
-			}
-			if err := m.Prefill(u, n); err != nil {
-				return nil, err
-			}
-		}
+	if err := r.prefill(vbs); err != nil {
+		return nil, err
 	}
-	return h, nil
+	return &Machine{cfg: cfg, runners: []*runner{r}, steps: make([]int, 1), mig: mg}, nil
 }
 
 // oracleChunkCounts replays the reference stream (generation only — no
 // timing) and counts accesses per (struct, chunk).
-func oracleChunkCounts(prof trace.Profile, hc HeteroConfig) map[[2]int]float64 {
-	g := trace.NewGenerator(prof, hc.Seed)
+func oracleChunkCounts(prof trace.Profile, cfg Config) map[[2]int]float64 {
+	g := trace.NewGenerator(prof, cfg.Seed)
 	counts := make(map[[2]int]float64)
-	total := hc.Warmup + hc.Refs
+	total := cfg.Warmup + cfg.Refs
 	for i := 0; i < total; i++ {
 		ref := g.Next()
-		counts[[2]int{ref.StructIdx, int(ref.Offset / hc.ChunkSize)}]++
+		counts[[2]int{ref.StructIdx, int(ref.Offset >> heteroChunkShift)}]++
 	}
 	return counts
 }
 
-// Run executes the workload under the configured policy.
-func (h *HeteroMachine) Run() (RunResult, error) {
-	steps := 0
-	total := h.cfg.Warmup + h.cfg.Refs
-	for steps < total {
-		if err := h.runner.step(); err != nil {
-			return RunResult{}, err
-		}
-		steps++
-		if steps == h.cfg.Warmup {
-			h.runner.beginMeasurement()
-		}
-		if h.cfg.Policy == PolicyVBI && steps%h.cfg.Params.HeteroEpochRefs == 0 {
-			h.migrationEpoch()
-		}
-	}
-	res := h.runner.result()
-	res.System = fmt.Sprintf("%s %s", h.cfg.Policy, h.cfg.Mem)
-	res.Extra["migrated.bytes"] = h.m.Stats.MigratedBytes
-	return res, nil
-}
-
-// migrationEpoch re-plans the fast zone from the MTL's access counters
+// migrate re-plans the fast zone from the MTL's access counters
 // (§7.3): the hottest VBs (by access density) fill the fast-zone budget;
 // VBs that lost their slot are demoted first to make room. Residents get a
 // stickiness bonus so uniform densities do not churn, and migration
-// bandwidth is charged to the core.
-func (h *HeteroMachine) migrationEpoch() {
-	counts := h.m.AccessCounts() // hottest first
+// bandwidth is charged to core r.
+func (mg *migrator) migrate(r *runner) {
+	counts := mg.m.AccessCounts() // hottest first
 	// Re-rank with a stickiness bonus for current residents so uniform
 	// densities do not cause churn.
 	type cand struct {
@@ -348,13 +290,13 @@ func (h *HeteroMachine) migrationEpoch() {
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].rank > cands[j].rank })
 
 	// Plan the fast zone: hottest VBs (with non-zero activity) first.
-	budget := h.fastBytes
+	budget := mg.fastBytes
 	wantFast := make(map[addr.VBUID]bool)
 	for _, cd := range cands {
 		if cd.c.Accesses == 0 {
 			continue
 		}
-		size := h.declared[cd.c.VB]
+		size := mg.declared[cd.c.VB]
 		if size <= budget {
 			wantFast[cd.c.VB] = true
 			budget -= size
@@ -367,7 +309,7 @@ func (h *HeteroMachine) migrationEpoch() {
 	for i := len(cands) - 1; i >= 0 && moved < migCap; i-- {
 		c := cands[i].c
 		if c.Zone == 0 && !wantFast[c.VB] {
-			if n, err := h.m.MigrateVB(c.VB, 1); err == nil {
+			if n, err := mg.m.MigrateVB(c.VB, 1); err == nil {
 				moved += n
 			}
 		}
@@ -377,11 +319,11 @@ func (h *HeteroMachine) migrationEpoch() {
 			break
 		}
 		if cd.c.Zone == 1 && wantFast[cd.c.VB] {
-			if n, err := h.m.MigrateVB(cd.c.VB, 0); err == nil {
+			if n, err := mg.m.MigrateVB(cd.c.VB, 0); err == nil {
 				moved += n
 			}
 		}
 	}
-	h.runner.pendingPenalty += (moved / 64) * migPenalty / uint64(h.cfg.Params.MigAmortize)
-	h.m.ResetAccessCounts()
+	r.pendingPenalty += (moved / 64) * migPenalty / uint64(r.p.MigAmortize)
+	mg.m.ResetAccessCounts()
 }

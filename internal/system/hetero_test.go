@@ -72,13 +72,13 @@ func TestHeteroUnawareAndIdealDoNotMigrate(t *testing.T) {
 
 func TestHeteroChunking(t *testing.T) {
 	m, err := NewHetero(HeteroConfig{Mem: HeteroTLDRAM, Policy: PolicyUnaware,
-		Refs: 5_000, ChunkSize: 8 << 20}, skewedProfile())
+		Refs: 5_000}, skewedProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 48 MB + 700 MB at 8 MB chunks = 6 + 88 VBs.
-	if got := len(m.declared); got != 94 {
-		t.Fatalf("chunk VBs = %d, want 94", got)
+	// 48 MB + 700 MB at 16 MB chunks = 3 + 44 VBs.
+	if got := len(m.mig.declared); got != 47 {
+		t.Fatalf("chunk VBs = %d, want 47", got)
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)

@@ -36,34 +36,105 @@ type RunResult struct {
 	Extra stats.Counters `json:"Extra"`
 }
 
-// Machine is a runnable single-core system.
+// Machine is a runnable simulated system: one core, or several (see
+// Multicore) over a shared LLC, main memory and OS/MTL, all stepped by one
+// loop. New, NewMulticore and NewHetero build it.
 type Machine struct {
-	name   string
-	cfg    Config
-	runner *runner
+	cfg     Config
+	runners []*runner
+	// steps counts each core's references in the current run. It is
+	// allocated at construction so that Run allocates nothing for it.
+	steps []int
+	// mig is a heterogeneous-memory machine's placement state (§7.3); nil
+	// on every other machine.
+	mig *migrator
 }
-
-// Name returns the configuration name.
-func (m *Machine) Name() string { return m.name }
 
 // Run executes warmup + measured references and returns the result.
 //
 //vbi:hotpath
 func (m *Machine) Run() (RunResult, error) {
-	for i := 0; i < m.cfg.Warmup; i++ {
-		if err := m.runner.step(); err != nil {
-			//vbi:allow hotalloc error path only; a failed step aborts the run
-			return RunResult{}, fmt.Errorf("%s warmup: %w", m.name, err)
+	if err := m.run(); err != nil {
+		return RunResult{}, err
+	}
+	return m.result(0), nil
+}
+
+// Multicore is a Machine with one core per workload (§7.2.3); its Run
+// reports every core.
+type Multicore Machine
+
+// Run executes warmup + measured references on every core and returns
+// their results in core order.
+func (mc *Multicore) Run() ([]RunResult, error) {
+	m := (*Machine)(mc)
+	if err := m.run(); err != nil {
+		return nil, err
+	}
+	out := make([]RunResult, len(m.runners))
+	for i := range out {
+		out[i] = m.result(i)
+	}
+	return out, nil
+}
+
+// run interleaves the cores in time order (the core with the smallest
+// local clock steps next, so shared-bank and shared-LLC contention is
+// simulated causally) until every core has retired Warmup+Refs
+// references. A core's measurement snapshot is taken right after its
+// Warmup-th step, or before any step when Warmup is 0: the snapshot reads
+// the shared DRAM counters, which the other cores advance in between. A
+// migrating hetero machine runs its epoch every HeteroEpochRefs steps.
+//
+//vbi:hotpath
+func (m *Machine) run() error {
+	runners, steps, mig := m.runners, m.steps, m.mig
+	warmup, target := m.cfg.Warmup, m.cfg.Warmup+m.cfg.Refs
+	clear(steps)
+	if warmup == 0 {
+		for _, r := range runners {
+			r.beginMeasurement()
 		}
 	}
-	m.runner.beginMeasurement()
-	for i := 0; i < m.cfg.Refs; i++ {
-		if err := m.runner.step(); err != nil {
+	for done := 0; done < len(runners); {
+		best := -1
+		var bestNow uint64
+		for i, r := range runners {
+			if steps[i] >= target {
+				continue
+			}
+			if now := r.cpu.Now(); best == -1 || now < bestNow {
+				best, bestNow = i, now
+			}
+		}
+		r := runners[best]
+		if err := r.step(); err != nil {
 			//vbi:allow hotalloc error path only; a failed step aborts the run
-			return RunResult{}, fmt.Errorf("%s: %w", m.name, err)
+			return fmt.Errorf("core %d (%s): %w", best, r.prof.Name, err)
+		}
+		steps[best]++
+		n := steps[best]
+		if n == warmup {
+			r.beginMeasurement()
+		}
+		if mig != nil && mig.epoch > 0 && n%mig.epoch == 0 {
+			mig.migrate(r)
+		}
+		if n == target {
+			done++
 		}
 	}
-	return m.runner.result(), nil
+	return nil
+}
+
+// result finalizes core i's measured phase.
+func (m *Machine) result(i int) RunResult {
+	res := m.runners[i].result()
+	if m.mig != nil {
+		res.System = m.mig.label
+		res.Extra["migrated.bytes"] = m.mig.m.Stats.MigratedBytes
+	}
+	return res
 }
 
 // stage is where a kind translates, the one decision that separates the
@@ -180,7 +251,7 @@ func (r *runner) step() error {
 	ref := r.gen.Next()
 	op := ref.Op
 	if r.stage == stageVBI {
-		op.Addr = packVAddr(r.chunkIdx[ref.StructIdx][ref.Offset/r.chunk], ref.Offset%r.chunk)
+		op.Addr = packVAddr(r.chunkIdx[ref.StructIdx][ref.Offset>>r.chunkShift], ref.Offset&(1<<r.chunkShift-1))
 	} else {
 		op.Addr = r.bases[ref.StructIdx] + ref.Offset
 	}

@@ -220,7 +220,7 @@ func TestLazyCacheCleanupOnDisable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.runner
+	r := m.runners[0]
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,13 +30,13 @@ type vbiStage struct {
 	vcore *core.Core
 	vproc *osmodel.VBIProcess
 
-	// Structures are segmented into chunk-sized VBs; chunkIdx maps
-	// struct -> chunk -> CVT index. Heterogeneous-memory runs chunk large
-	// structures for placement (the allocator-level segmentation of §7.3
-	// workloads); every other run maps each structure to one VB, as one
-	// chunk of the largest size class.
-	chunk    uint64
-	chunkIdx [][]int
+	// Structures are segmented into VBs of at most 1<<chunkShift bytes;
+	// chunkIdx maps struct -> chunk -> CVT index. Heterogeneous-memory
+	// runs chunk large structures for placement (the allocator-level
+	// segmentation of §7.3 workloads); every other run maps each
+	// structure to one VB, as one chunk of the largest size class.
+	chunkShift uint
+	chunkIdx   [][]int
 
 	// pendingPenalty charges background work (epoch migration bandwidth)
 	// to the next access.
@@ -72,29 +72,20 @@ func (r *runner) initVBI(cfg Config, ss *sharedState) error {
 		ss.sys = core.NewSystem(m)
 		ss.vbios = osmodel.NewVBIOS(ss.sys)
 	}
-	r.attachVBI(ss.sys, ss.vbios, addr.Size128TB.Bytes())
-	for _, s := range r.prof.Structs {
-		idx, u, err := r.vbios.RequestVB(r.vproc, s.Size, workloads.PropsFor(s))
-		if err != nil {
-			return err
-		}
-		r.chunkIdx = append(r.chunkIdx, []int{idx})
-		// Initialization pass: startup writes allocate the live data, so
-		// the simulated region's zero lines come only from the genuinely
-		// never-written cold tails (§5.1).
-		if err := r.sys.MTL.Prefill(u, s.WarmBytes()); err != nil {
-			return err
-		}
+	r.attachVBI(ss.sys, ss.vbios)
+	vbs, err := r.requestVBs(addr.Size128TB.OffsetBits())
+	if err != nil {
+		return err
 	}
-	return nil
+	return r.prefill(vbs)
 }
 
 // attachVBI makes r a VBI core of sys under vbios: its CVT-caching core,
-// a fresh process, and the MTL walk cache. The caller requests the VBs,
-// in chunks of the given size.
-func (r *runner) attachVBI(sys *core.System, vbios *osmodel.VBIOS, chunk uint64) {
+// a fresh process, and the MTL walk cache. The caller then lays out the
+// VBs (requestVBs) and prefills them.
+func (r *runner) attachVBI(sys *core.System, vbios *osmodel.VBIOS) {
 	r.stage = stageVBI
-	r.sys, r.vbios, r.chunk = sys, vbios, chunk
+	r.sys, r.vbios = sys, vbios
 	r.nodeCache = tlb.New("MTLwalk", 1, r.p.PWCEntries)
 	// Lazy cache cleanup (§4.2.4): stale lines of a disabled VB are
 	// invalidated before its VBUID is recycled.
@@ -107,6 +98,60 @@ func (r *runner) attachVBI(sys *core.System, vbios *osmodel.VBIOS, chunk uint64)
 	r.vcore = core.NewCore(sys)
 	r.vproc = vbios.CreateProcess()
 	r.vcore.SwitchClient(r.vproc.Client)
+}
+
+// requestVBs lays out the profile's structures in order, each as VBs of
+// at most 1<<chunkShift bytes attached to the core's process, and returns
+// each structure's VBs.
+func (r *runner) requestVBs(chunkShift uint) ([][]addr.VBUID, error) {
+	r.chunkShift = chunkShift
+	vbs := make([][]addr.VBUID, len(r.prof.Structs))
+	r.chunkIdx = make([][]int, len(r.prof.Structs))
+	for si, s := range r.prof.Structs {
+		for ci := 0; ; ci++ {
+			size := chunkLen(s.Size, ci, chunkShift)
+			if size == 0 {
+				break
+			}
+			idx, u, err := r.vbios.RequestVB(r.vproc, size, workloads.PropsFor(s))
+			if err != nil {
+				return nil, err
+			}
+			r.chunkIdx[si] = append(r.chunkIdx[si], idx)
+			vbs[si] = append(vbs[si], u)
+		}
+	}
+	return vbs, nil
+}
+
+// prefill is the initialization pass over the VBs requestVBs laid out:
+// startup writes allocate each structure's live data, chunk by chunk, so
+// the simulated region's zero lines come only from the genuinely
+// never-written cold tails (§5.1).
+func (r *runner) prefill(vbs [][]addr.VBUID) error {
+	for si, s := range r.prof.Structs {
+		warm := s.WarmBytes()
+		for ci, u := range vbs[si] {
+			n := chunkLen(warm, ci, r.chunkShift)
+			if n == 0 {
+				break
+			}
+			if err := r.sys.MTL.Prefill(u, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// chunkLen is how many of a structure's first n bytes fall in its chunk ci
+// of 1<<shift bytes.
+func chunkLen(n uint64, ci int, shift uint) uint64 {
+	start := uint64(ci) << shift
+	if n <= start {
+		return 0
+	}
+	return min(n-start, 1<<shift)
 }
 
 // packVAddr fits {CVT index, offset} into cpu.Op.Addr: offsets never exceed
