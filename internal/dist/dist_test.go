@@ -144,13 +144,22 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	jobs := testJobs(t)
 	want := localResults(t, jobs)
 
-	healthy := newWorkerServer(t, 1)
 	// The doomed worker serves exactly one /run, then drops every
 	// connection — the shape of a killed process, not a clean error reply.
+	// Its second /run closes askedTwice.
 	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
 	var served atomic.Int64
+	askedTwice := make(chan struct{})
 	doomed := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == PathRun && served.Add(1) > 1 {
+		if req.URL.Path != PathRun {
+			inner.ServeHTTP(rw, req)
+			return
+		}
+		n := served.Add(1)
+		if n == 2 {
+			close(askedTwice)
+		}
+		if n > 1 {
 			hj, ok := rw.(http.Hijacker)
 			if !ok {
 				t.Error("response writer cannot hijack")
@@ -165,6 +174,24 @@ func TestWorkerDeathRequeues(t *testing.T) {
 		inner.ServeHTTP(rw, req)
 	}))
 	t.Cleanup(doomed.Close)
+	// The healthy worker holds its second /run until the doomed worker has
+	// been asked twice. Of the four one-job shards, one each is then out
+	// and one is held, so the doomed worker pulls the last and dies on it
+	// however fast the healthy one is. The hold is bounded, so a scheduler
+	// that never asks the doomed worker again fails the test, not hangs it.
+	healthyInner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
+	var healthyRuns atomic.Int64
+	healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathRun && healthyRuns.Add(1) == 2 {
+			select {
+			case <-askedTwice:
+			case <-time.After(30 * time.Second):
+				t.Error("the doomed worker got no second /run within 30s of the healthy worker's second")
+			}
+		}
+		healthyInner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(healthy.Close)
 
 	coord := &Coordinator{
 		Endpoints: []string{doomed.URL, healthy.URL},

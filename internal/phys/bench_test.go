@@ -52,3 +52,42 @@ func BenchmarkBuddyReserveFill(b *testing.B) {
 		bd.Unreserve(owner)
 	}
 }
+
+// BenchmarkAllocOrder0 is the MTL's region-by-region prefill as the
+// allocator sees it: order-0 frames taken one call at a time in ascending
+// order, by Alloc from a fresh 16 GB pool and by AllocAt through a 1 GB
+// reservation in one. An exhausted allocator is replaced off the clock, so
+// the per-op allocations are the record chunks the frames land in.
+func BenchmarkAllocOrder0(b *testing.B) {
+	owner := vb(1)
+	b.Run("Alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		bd := NewBuddy(16 << 30)
+		for i := 0; i < b.N; i++ {
+			if _, ok := bd.Alloc(owner, 0); !ok {
+				b.StopTimer()
+				bd = NewBuddy(16 << 30)
+				b.StartTimer()
+				i--
+			}
+		}
+	})
+	b.Run("AllocAt", func(b *testing.B) {
+		b.ReportAllocs()
+		var bd *Buddy
+		var at, end Addr
+		for i := 0; i < b.N; i++ {
+			if at == end {
+				b.StopTimer()
+				bd = NewBuddy(16 << 30)
+				at, _ = bd.Reserve(owner, 18)
+				end = at + 1<<30
+				b.StartTimer()
+			}
+			if !bd.AllocAt(owner, at, 0) {
+				b.Fatalf("AllocAt(%v) failed", at)
+			}
+			at += FrameSize
+		}
+	})
+}

@@ -122,6 +122,10 @@ func (bs bitset) nextSet(from int) int {
 // matters because region allocation sits on the machine-construction path
 // (Prefill) and, under delayed allocation (§5.1), on the per-writeback
 // path of the simulated run.
+//
+// Order-0 allocations, the MTL's region-by-region fill, are served from a
+// frame run (see frameRun) that places exactly as splitting a block down
+// on every call would.
 type Buddy struct {
 	capacity uint64
 	nframes  uint64
@@ -151,8 +155,35 @@ type Buddy struct {
 	// has owner record oi, so Unreserve finds oi's blocks by walking them.
 	reservedAt [][]blockKey
 
+	// run is the open frame run, if any.
+	run frameRun
+
 	freeBytes     uint64
 	reservedBytes uint64 // subset of freeBytes that is reserved
+}
+
+// frameRun is a free block that order-0 allocations take frames from in
+// ascending order, one call at a time. Opening it takes the block off the
+// free bitmaps; each frame handed out gets its allocated record, and the
+// rest of the block, frames [next, end), stays free without records. That
+// remainder is exactly the free set eager splitting would leave: its
+// canonical buddy decomposition, one aligned piece per set bit of
+// end-next, the smallest piece starting at next. So the next frame any
+// order-0 allocation would take from it is next:
+//
+//   - AllocAt of frame next, whoever asks, since AllocAt places by address;
+//   - Alloc(vb, 0) when vb's own Alloc opened the run, since the block was
+//     the first fit at the smallest free order of vb's priority class, so
+//     no other free block of that class is smaller than the pieces.
+//
+// Every other operation first materializes the remainder (settle).
+// freeBytes stays exact while a run is open; reservedBytes and the free
+// counts and bitmaps lack the remainder until it is materialized.
+type frameRun struct {
+	next, end uint64 // frames; the run is open while next < end
+	oi        uint16 // owner index of the block the run was cut from
+	alloc     bool   // opened by Alloc(vb, 0), which may continue it
+	vb        Owner
 }
 
 // NewBuddy returns a buddy allocator over capacity bytes (rounded down to a
@@ -198,7 +229,10 @@ func (b *Buddy) Capacity() uint64 { return b.capacity }
 func (b *Buddy) FreeBytes() uint64 { return b.freeBytes }
 
 // ReservedBytes returns the free bytes currently reserved for some VB.
-func (b *Buddy) ReservedBytes() uint64 { return b.reservedBytes }
+func (b *Buddy) ReservedBytes() uint64 {
+	b.settle()
+	return b.reservedBytes
+}
 
 // internOwner maps a non-zero owner to its stable small index, assigning
 // one on first sight.
@@ -313,46 +347,43 @@ func (b *Buddy) removeFreeIn(c *frameChunk, fi uint64, order int) {
 	}
 }
 
-// splitTo repeatedly halves the free block (base, from, oi) until an
-// order-"to" block is available, tagging all pieces with the same owner
-// index. It returns the base of the order-"to" block (always == base).
+// splitTo takes the free block at frame fi of order from, whose record
+// lives in chunk c, off the free set and halves it down to order to,
+// keeping every split-off upper half free with owner index oi. The order-to
+// block at fi is left without a record, for the caller to write.
 //
 // Halves of order chunkShift and up start chunks of their own; every
-// smaller piece shares the block's chunk, which is read once.
+// smaller piece shares the block's chunk.
 //
 //vbi:hotpath
-func (b *Buddy) splitTo(base Addr, from, to int, oi uint16) Addr {
-	fi := uint64(base) >> FrameShift
-	c := b.chunks[fi>>chunkShift]
+func (b *Buddy) splitTo(c *frameChunk, fi uint64, from, to int, oi uint16) {
 	b.removeFreeIn(c, fi, from)
 	for o := from; o > to; o-- {
 		if o > chunkShift {
-			b.addFree(base+Addr(OrderBytes(o-1)), o-1, oi)
+			b.addFree(Addr((fi+1<<(o-1))<<FrameShift), o-1, oi)
 		} else {
 			b.addFreeIn(c, fi+1<<(o-1), o-1, oi)
 		}
 	}
-	b.addFreeIn(c, fi, to, oi)
-	return base
 }
 
-// takeFreeUnres finds an unreserved free block of order >= want and splits
-// it down. Smallest sufficient order first to limit fragmentation; within
-// an order the lowest base wins (first fit), so allocation placement — and
-// with it bank/row timing — is identical between runs.
+// pickUnres returns the unreserved free block an allocation of order want
+// takes, and its order. Smallest sufficient order first to limit
+// fragmentation; within an order the lowest base wins (first fit), so
+// allocation placement — and with it bank/row timing — is identical
+// between runs.
 //
 //vbi:hotpath
-func (b *Buddy) takeFreeUnres(want int) (Addr, bool) {
+func (b *Buddy) pickUnres(want int) (Addr, int, bool) {
 	for o := want; o <= MaxOrder; o++ {
 		if b.cntUnres[o] == 0 {
 			continue
 		}
 		bi := b.freeUnres[o].nextSet(b.hintUnres[o])
 		b.hintUnres[o] = bi
-		base := Addr(uint64(bi) << uint(FrameShift+o))
-		return b.splitTo(base, o, want, 0), true
+		return Addr(uint64(bi) << uint(FrameShift+o)), o, true
 	}
-	return NoAddr, false
+	return NoAddr, 0, false
 }
 
 // firstRes returns the lowest-base free reserved order-o block whose owner
@@ -375,35 +406,35 @@ func (b *Buddy) firstRes(order int, target uint16, equal bool) (Addr, uint16, bo
 	return NoAddr, 0, false
 }
 
-// takeFreeOwned finds a free block of order >= want reserved for owner
-// index self (0 when the owner holds no reservation).
-func (b *Buddy) takeFreeOwned(self uint16, want int) (Addr, bool) {
+// pickOwned returns the free block of order >= want reserved for owner
+// index self (0 when the owner holds no reservation), and its order.
+func (b *Buddy) pickOwned(self uint16, want int) (Addr, int, bool) {
 	if self == 0 {
-		return NoAddr, false
+		return NoAddr, 0, false
 	}
 	for o := want; o <= MaxOrder; o++ {
 		if b.cntResOwn[self][o] == 0 {
 			continue
 		}
 		if base, _, ok := b.firstRes(o, self, true); ok {
-			return b.splitTo(base, o, want, self), true
+			return base, o, true
 		}
 	}
-	return NoAddr, false
+	return NoAddr, 0, false
 }
 
-// takeFreeStolen finds a free block reserved for any owner index other
-// than self, returning the victim's index.
-func (b *Buddy) takeFreeStolen(self uint16, want int) (Addr, uint16, bool) {
+// pickStolen returns a free block of order >= want reserved for any owner
+// index other than self, its order and the victim's index.
+func (b *Buddy) pickStolen(self uint16, want int) (Addr, int, uint16, bool) {
 	for o := want; o <= MaxOrder; o++ {
 		if int32(b.cntRes[o])-b.cntResOwn[self][o] <= 0 {
 			continue
 		}
 		if base, oi, ok := b.firstRes(o, self, false); ok {
-			return b.splitTo(base, o, want, oi), oi, true
+			return base, o, oi, true
 		}
 	}
-	return NoAddr, 0, false
+	return NoAddr, 0, 0, false
 }
 
 // Alloc allocates an order-sized block for VB vb using the three-level
@@ -415,45 +446,92 @@ func (b *Buddy) Alloc(vb Owner, order int) (Addr, bool) {
 	if order < 0 || order > MaxOrder {
 		return NoAddr, false
 	}
+	if order == 0 && b.run.alloc && b.run.vb == vb && b.run.next < b.run.end {
+		return b.nextFrame(), true
+	}
+	b.settle()
 	self := b.ownerIdx[vb]
 	// Priority 1: free blocks reserved for this VB.
-	if base, ok := b.takeFreeOwned(self, order); ok {
-		b.markAllocated(base, order, self)
-		return base, true
-	}
+	base, o, ok := b.pickOwned(self, order)
+	oi := self
 	// Priority 2: unreserved free blocks.
-	if base, ok := b.takeFreeUnres(order); ok {
-		b.markAllocated(base, order, 0)
-		return base, true
+	if !ok {
+		base, o, ok = b.pickUnres(order)
+		oi = 0
 	}
 	// Priority 3: steal from another VB's reservation.
-	if base, oi, ok := b.takeFreeStolen(self, order); ok {
-		b.markAllocated(base, order, oi)
+	if !ok {
+		base, o, oi, ok = b.pickStolen(self, order)
+	}
+	if !ok {
+		return NoAddr, false
+	}
+	fi := uint64(base) >> FrameShift
+	c := b.chunks[fi>>chunkShift]
+	if order == 0 && o > 0 {
+		b.openRun(c, fi, o, oi)
+		b.run.alloc, b.run.vb = true, vb
 		return base, true
 	}
-	return NoAddr, false
+	b.splitTo(c, fi, o, order, oi)
+	b.markAllocatedIn(c, fi, order, oi)
+	return base, true
 }
 
-// markAllocated turns the free block at base into an allocated one that
-// keeps oi, the owner index of the reservation it was carved from (0 for
-// unreserved memory). It is the only writer of a non-zero owner index onto
-// an allocated block.
-//
-//vbi:hotpath
-func (b *Buddy) markAllocated(base Addr, order int, oi uint16) {
-	fi := uint64(base) >> FrameShift
-	b.markAllocatedIn(b.chunks[fi>>chunkShift], fi, order, oi)
-}
-
-// markAllocatedIn is markAllocated for the block starting at frame fi,
-// whose record lives in chunk c.
+// markAllocatedIn records an allocated block starting at frame fi, whose
+// record lives in chunk c and which is on no free list. The block keeps oi,
+// the owner index of the reservation it was carved from (0 for unreserved
+// memory); this is the only writer of a non-zero owner index onto an
+// allocated block.
 //
 //vbi:hotpath
 func (b *Buddy) markAllocatedIn(c *frameChunk, fi uint64, order int, oi uint16) {
-	b.removeFreeIn(c, fi, order)
 	c.meta[fi&chunkMask] = metaLive | uint8(order)
 	c.owner[fi&chunkMask] = oi
 	b.freeBytes -= OrderBytes(order)
+}
+
+// openRun takes the free block at frame fi of order o, whose record lives
+// in chunk c, off the free set, allocates its first frame and opens a run
+// over the rest, one only AllocAt continues until Alloc claims it.
+//
+//vbi:hotpath
+func (b *Buddy) openRun(c *frameChunk, fi uint64, o int, oi uint16) {
+	b.removeFreeIn(c, fi, o)
+	b.markAllocatedIn(c, fi, 0, oi)
+	b.run = frameRun{next: fi + 1, end: fi + 1<<o, oi: oi}
+}
+
+// nextFrame allocates the open run's next frame.
+//
+//vbi:hotpath
+func (b *Buddy) nextFrame() Addr {
+	fi := b.run.next
+	b.run.next++
+	b.markAllocatedIn(b.chunkOf(fi), fi, 0, b.run.oi)
+	return Addr(fi << FrameShift)
+}
+
+// settle materializes the open run, if any, so that the records, bitmaps
+// and counters describe every free block.
+//
+//vbi:hotpath
+func (b *Buddy) settle() {
+	if b.run.next < b.run.end {
+		b.materialize()
+	}
+}
+
+// materialize records the open run's remainder as its canonical buddy
+// decomposition, smallest piece first, and closes the run.
+func (b *Buddy) materialize() {
+	r := b.run
+	b.run = frameRun{}
+	for at := r.next; at < r.end; {
+		o := bits.TrailingZeros64(r.end - at)
+		b.addFree(Addr(at<<FrameShift), o, r.oi)
+		at += 1 << o
+	}
 }
 
 // AllocAt allocates the specific order-sized block at base for vb, if that
@@ -469,9 +547,14 @@ func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
 		return false
 	}
 	fi := uint64(base) >> FrameShift
+	if order == 0 && fi == b.run.next && b.run.next < b.run.end {
+		b.nextFrame()
+		return true
+	}
 	if fi >= b.nframes {
 		return false
 	}
+	b.settle()
 	// Find the free block containing [base, base+2^order): the smallest
 	// enclosing aligned block that exists and is free. Up to order
 	// chunkShift every candidate starts in base's own chunk, read once; a
@@ -498,6 +581,10 @@ func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
 			return false // region (or part of it) already allocated
 		}
 		oi := ec.owner[efi&chunkMask]
+		if order == 0 && o > 0 && efi == fi {
+			b.openRun(ec, fi, o, oi)
+			return true
+		}
 		c = b.splitToAt(ec, efi, o, fi, order, oi)
 		b.markAllocatedIn(c, fi, order, oi)
 		return true
@@ -505,10 +592,12 @@ func (b *Buddy) AllocAt(vb Owner, base Addr, order int) bool {
 	return false
 }
 
-// splitToAt splits the free block (frame cur, order from, owner index oi),
-// whose record lives in chunk c, down to an order-"to" block at exactly
-// frame target, keeping every split-off sibling free with the same owner
-// index. It returns the chunk holding target's record.
+// splitToAt takes the free block (frame cur, order from, owner index oi),
+// whose record lives in chunk c, off the free set and splits it down to an
+// order-"to" block at exactly frame target, keeping every split-off
+// sibling free with the same owner index. The target block is left without
+// a record, for the caller to write; splitToAt returns the chunk holding
+// target's record.
 //
 // Halves of order chunkShift and up start chunks of their own; every
 // smaller piece lies in target's chunk, which is read once.
@@ -538,7 +627,6 @@ func (b *Buddy) splitToAt(c *frameChunk, cur uint64, from int, target uint64, to
 			b.addFreeIn(c, cur+half, o-1, oi)
 		}
 	}
-	b.addFreeIn(c, cur, to, oi)
 	return c
 }
 
@@ -550,14 +638,18 @@ func (b *Buddy) Reserve(vb Owner, order int) (Addr, bool) {
 	if vb == 0 || order < 0 || order > MaxOrder {
 		return NoAddr, false
 	}
-	base, ok := b.takeFreeUnres(order)
+	b.settle()
+	base, o, ok := b.pickUnres(order)
 	if !ok {
 		return NoAddr, false
 	}
-	// Retag the block as reserved-free for vb.
+	// Split off the unreserved rest and record the block as reserved-free
+	// for vb.
 	oi := b.internOwner(vb)
-	b.removeFree(base, order)
-	b.addFree(base, order, oi)
+	fi := uint64(base) >> FrameShift
+	c := b.chunks[fi>>chunkShift]
+	b.splitTo(c, fi, o, order, 0)
+	b.addFreeIn(c, fi, order, oi)
 	b.reservedAt[oi] = append(b.reservedAt[oi], blockKey{base, order})
 	return base, true
 }
@@ -568,6 +660,7 @@ func (b *Buddy) Reserve(vb Owner, order int) (Addr, bool) {
 //
 //vbi:hotpath
 func (b *Buddy) Free(base Addr, order int) {
+	b.settle()
 	fi := uint64(base) >> FrameShift
 	var m uint8
 	if order >= 0 && order <= MaxOrder && fi < b.nframes {
@@ -626,6 +719,7 @@ func (b *Buddy) freeAndMerge(base Addr, order int, oi uint16) {
 // unreserved memory outside the ranges. Blocks are released in ascending
 // base order, which fixes the merges and so the allocator's later state.
 func (b *Buddy) Unreserve(vb Owner) {
+	b.settle()
 	oi, ok := b.ownerIdx[vb]
 	if !ok {
 		return
@@ -666,6 +760,7 @@ func (b *Buddy) Unreserve(vb Owner) {
 // block Alloc(vb, order) would currently succeed for), or -1 when nothing
 // is free.
 func (b *Buddy) LargestFreeOrder(vb Owner) int {
+	b.settle()
 	vbIdx, hasIdx := b.ownerIdx[vb]
 	for o := MaxOrder; o >= 0; o-- {
 		if b.cntUnres[o] > 0 {
@@ -688,6 +783,7 @@ func (b *Buddy) LargestFreeOrder(vb Owner) int {
 // LargestUnreservedOrder returns the order of the largest unreserved free
 // block (the contiguity Reserve can still satisfy), or -1 when none.
 func (b *Buddy) LargestUnreservedOrder() int {
+	b.settle()
 	for o := MaxOrder; o >= 0; o-- {
 		if b.cntUnres[o] > 0 {
 			return o
@@ -697,11 +793,13 @@ func (b *Buddy) LargestUnreservedOrder() int {
 }
 
 // CheckInvariants verifies structural invariants and returns an error
-// describing the first violation. It is exercised by the property tests.
+// describing the first violation, after materializing any open frame run.
+// It is exercised by the property tests.
 // Its cost follows the memory the allocator has touched: it skips nil
 // chunks, where no block starts, and checks reservation ownership range by
 // range rather than frame by frame.
 func (b *Buddy) CheckInvariants() error {
+	b.settle()
 	// Unreserve finds an owner's blocks by walking its recorded ranges: the
 	// ranges of all owners must be disjoint, and every block must carry the
 	// owner index of the ranges it lies in (0 outside all of them). spans

@@ -380,12 +380,21 @@ func TestBuddyFramesStaySparse(t *testing.T) {
 	if n := chunkCount(b); n != 1 {
 		t.Fatalf("fresh 32 GB pool has %d chunks, want 1", n)
 	}
-	// Splitting the 32 GB block down to one frame leaves a free half at
-	// every order below 23. Halves of order chunkShift and up each start a
-	// chunk of their own; the smaller ones share chunk 0 with the frame.
+	// One order-0 Alloc opens a run over the 32 GB block, which records
+	// only the frame it hands out.
 	a, ok := b.Alloc(vb(1), 0)
 	if !ok || a != 0 {
 		t.Fatalf("Alloc = %v, %v", a, ok)
+	}
+	if n := chunkCount(b); n != 1 {
+		t.Fatalf("with the run open: %d chunks, want 1", n)
+	}
+	// Materializing the run leaves what splitting the block down to one
+	// frame leaves: a free half at every order below 23. Halves of order
+	// chunkShift and up each start a chunk of their own; the smaller ones
+	// share chunk 0 with the frame.
+	if got := b.LargestUnreservedOrder(); got != 22 {
+		t.Fatalf("largest order with one frame taken = %d, want 22", got)
 	}
 	splitPoints := 1 + (23 - chunkShift)
 	if n := chunkCount(b); n != splitPoints {
@@ -424,5 +433,42 @@ func TestBuddyFramesStaySparse(t *testing.T) {
 	if b.FreeBytes() != b.Capacity() || b.LargestUnreservedOrder() != 23 {
 		t.Fatalf("pool did not re-coalesce: free %d of %d, largest order %d",
 			b.FreeBytes(), b.Capacity(), b.LargestUnreservedOrder())
+	}
+}
+
+// A run materializes as the free pieces eager splitting leaves: three
+// frames taken from an order-3 block leave an order-0 piece at +3 and an
+// order-2 piece at +4. Until then only the taken frames have records, and
+// FreeBytes already counts them.
+func TestBuddyRunMaterializesAsSplit(t *testing.T) {
+	b := NewBuddy(8 * FrameSize) // one order-3 block
+	for i := 0; i < 3; i++ {
+		if a, ok := b.Alloc(vb(1), 0); !ok || a != Addr(i*FrameSize) {
+			t.Fatalf("Alloc %d = %v, %v", i, a, ok)
+		}
+	}
+	if got := b.FreeBytes(); got != 5*FrameSize {
+		t.Fatalf("FreeBytes with the run open = %d, want %d", got, 5*FrameSize)
+	}
+	for fi := uint64(3); fi < 8; fi++ {
+		if m := b.metaOf(fi); m != 0 {
+			t.Fatalf("frame %d has record %#x with the run open", fi, m)
+		}
+	}
+	if err := b.CheckInvariants(); err != nil { // materializes the run
+		t.Fatal(err)
+	}
+	want := map[uint64]uint8{
+		0: metaLive, 1: metaLive, 2: metaLive,
+		3: metaLive | metaFree | 0,
+		4: metaLive | metaFree | 2,
+	}
+	for fi := uint64(0); fi < 8; fi++ {
+		if got := b.metaOf(fi); got != want[fi] {
+			t.Errorf("frame %d record = %#x, want %#x", fi, got, want[fi])
+		}
+	}
+	if b.cntUnres[0] != 1 || b.cntUnres[2] != 1 || b.cntUnres[1] != 0 || b.cntUnres[3] != 0 {
+		t.Errorf("free counts by order = %v, want one order-0 and one order-2 block", b.cntUnres[:4])
 	}
 }

@@ -16,11 +16,12 @@ func New(cfg Config, prof trace.Profile) (*Machine, error) {
 }
 
 // NewMulticore builds a machine with one core per profile over a shared
-// LLC, shared main memory, and a shared OS/hypervisor/MTL (§7.2.3).
+// LLC, shared main memory, and a shared OS/hypervisor/MTL (§7.2.3). A zero
+// Capacity means 32 GB here, since four residents need more physical
+// memory than one.
 func NewMulticore(cfg Config, profs []trace.Profile) (*Multicore, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Capacity == 16<<30 {
-		cfg.Capacity = 32 << 30 // four residents need more physical memory
+	if cfg.Capacity == 0 {
+		cfg.Capacity = 32 << 30
 	}
 	m, err := build(cfg, profs)
 	if err != nil {

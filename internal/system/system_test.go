@@ -1,6 +1,7 @@
 package system
 
 import (
+	"slices"
 	"testing"
 
 	"vbi/internal/trace"
@@ -156,6 +157,36 @@ func TestVirtualWalksLongerThanNative(t *testing.T) {
 	vPer := float64(v.Extra["walk.accesses"]) / float64(vWalks)
 	if vPer <= nPer {
 		t.Errorf("2D walk length (%.2f) not above native (%.2f)", vPer, nPer)
+	}
+}
+
+// A multicore machine defaults to 32 GB, and an explicit capacity is kept:
+// 16 GB, the single-core default, must not be raised to 32 GB. On wl3 under
+// VBI-Full the two capacities give different cycle counts, and a zero
+// capacity gives the 32 GB ones.
+func TestMulticoreCapacity(t *testing.T) {
+	cycles := func(capacity uint64) []uint64 {
+		t.Helper()
+		mc, err := NewMulticore(Config{Kind: VBIFull, Refs: 4_000, Capacity: capacity}, bundleProfiles(t, "wl3"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := mc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, r := range results {
+			out = append(out, r.Cycles)
+		}
+		return out
+	}
+	def, gb16, gb32 := cycles(0), cycles(16<<30), cycles(32<<30)
+	if !slices.Equal(def, gb32) {
+		t.Errorf("default capacity cycles %v, 32 GB cycles %v", def, gb32)
+	}
+	if slices.Equal(gb16, gb32) {
+		t.Errorf("16 GB and 32 GB runs both give cycles %v: the explicit 16 GB was not kept", gb16)
 	}
 }
 
