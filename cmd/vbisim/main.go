@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vbi/internal/dist"
@@ -26,43 +27,53 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "vbisim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the job they describe and writes its report to
+// stdout. A malformed flag exits 2, as flag.Parse would.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vbisim", flag.ExitOnError)
 	params := harness.ParamAxes{}
 	var (
-		sysName  = flag.String("system", "Native", "system spec to simulate (see -list)")
-		workload = flag.String("workload", "mcf", "benchmark name (see -list)")
-		refs     = flag.Int("refs", 400_000, "measured memory references")
-		seed     = flag.Uint64("seed", 1, "trace seed")
-		list     = flag.Bool("list", false, "list systems, workloads and parameters")
-		hetero   = flag.String("hetero", "", "heterogeneous memory: PCM-DRAM or TL-DRAM")
-		policy   = flag.String("policy", "VBI", "placement policy: Unaware, VBI or IDEAL")
-		version  = flag.Bool("version", false, "print protocol and harness versions, then exit")
+		sysName  = fs.String("system", "Native", "system spec to simulate (see -list)")
+		workload = fs.String("workload", "mcf", "benchmark name (see -list)")
+		refs     = fs.Int("refs", 400_000, "measured memory references")
+		seed     = fs.Uint64("seed", 1, "trace seed")
+		list     = fs.Bool("list", false, "list systems, workloads and parameters")
+		hetero   = fs.String("hetero", "", "heterogeneous memory: PCM-DRAM or TL-DRAM")
+		policy   = fs.String("policy", "VBI", "placement policy: Unaware, VBI or IDEAL")
+		version  = fs.Bool("version", false, "print protocol and harness versions, then exit")
 	)
-	flag.Var(params, "param", "parameter override name=value (repeatable; see -list)")
-	flag.Parse()
+	fs.Var(params, "param", "parameter override name=value (repeatable; see -list)")
+	fs.Parse(args)
 	if *version {
-		fmt.Println(dist.VersionLine("vbisim"))
-		return
+		fmt.Fprintln(stdout, dist.VersionLine("vbisim"))
+		return nil
 	}
 
 	if *list {
-		harness.WriteSpecList(os.Stdout)
-		fmt.Println("workloads:")
+		harness.WriteSpecList(stdout)
+		fmt.Fprintln(stdout, "workloads:")
 		for _, n := range workloads.Names() {
 			p := workloads.MustGet(n)
-			fmt.Printf("  %-14s %4d MB, %d structures\n", n, p.Footprint()>>20, len(p.Structs))
+			fmt.Fprintf(stdout, "  %-14s %4d MB, %d structures\n", n, p.Footprint()>>20, len(p.Structs))
 		}
-		harness.WriteHeteroList(os.Stdout)
-		harness.WriteParamList(os.Stdout)
-		return
+		harness.WriteHeteroList(stdout)
+		harness.WriteParamList(stdout)
+		return nil
 	}
 
 	overlay, err := params.Overlay()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	job := harness.Job{Workloads: []string{*workload}, Refs: *refs, Seed: *seed, Params: overlay}
 	systemSet := false
-	flag.Visit(func(f *flag.Flag) { systemSet = systemSet || f.Name == "system" })
+	fs.Visit(func(f *flag.Flag) { systemSet = systemSet || f.Name == "system" })
 	if *hetero != "" {
 		// Heterogeneous runs are always VBI-2 over two zones; an explicit
 		// -system still reaches the job, whose Validate rejects it.
@@ -71,30 +82,26 @@ func main() {
 	if *hetero == "" || systemSet {
 		spec, err := system.ResolveSpec(*sysName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		job.Spec = &spec
 	}
 	results, err := (&harness.Runner{Workers: 1}).Run(context.Background(), []harness.Job{job})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res := results[0].Results[0]
 
-	fmt.Printf("system:    %s\n", res.System)
-	fmt.Printf("workload:  %s\n", res.Workload)
-	fmt.Printf("refs:      %d\n", res.MemRefs)
-	fmt.Printf("instrs:    %d\n", res.Instrs)
-	fmt.Printf("cycles:    %d\n", res.Cycles)
-	fmt.Printf("IPC:       %.4f\n", res.IPC)
-	fmt.Printf("DRAM:      %d accesses\n", res.DRAMAccesses)
+	fmt.Fprintf(stdout, "system:    %s\n", res.System)
+	fmt.Fprintf(stdout, "workload:  %s\n", res.Workload)
+	fmt.Fprintf(stdout, "refs:      %d\n", res.MemRefs)
+	fmt.Fprintf(stdout, "instrs:    %d\n", res.Instrs)
+	fmt.Fprintf(stdout, "cycles:    %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "IPC:       %.4f\n", res.IPC)
+	fmt.Fprintf(stdout, "DRAM:      %d accesses\n", res.DRAMAccesses)
 	if len(res.Extra) > 0 {
-		fmt.Println("counters:")
-		fmt.Print(res.Extra.Render())
+		fmt.Fprintln(stdout, "counters:")
+		fmt.Fprint(stdout, res.Extra.Render())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vbisim:", err)
-	os.Exit(1)
+	return nil
 }

@@ -254,6 +254,17 @@ func (m *MTL) Prefill(u addr.VBUID, n uint64) error {
 	return nil
 }
 
+// ReserveRegions sizes the VB's region table for its first n bytes in one
+// allocation, so touching regions below n later never grows it.
+func (m *MTL) ReserveRegions(u addr.VBUID, n uint64) error {
+	vb, err := m.vb(u)
+	if err != nil {
+		return err
+	}
+	vb.regions.reserve((min(n, u.Size()) + RegionSize - 1) >> RegionShift)
+	return nil
+}
+
 // SwapOutRegion moves one allocated region to the backing store (the
 // physical-memory-capacity system calls of §3.4), freeing its frame.
 // Shared (copy-on-write) regions are skipped, reported by the return.

@@ -89,20 +89,13 @@ func (p *ConvProcess) TouchTranslate(va uint64) (pa phys.Addr, fault bool, err e
 }
 
 // Populate demand-pages [base, end) at startup, exactly as Touch of base,
-// base+PageSize, ... below end would, but through the table's leaf memo:
-// one descent per leaf node instead of two per page.
+// base+PageSize, ... below end would, one leaf node at a time
+// (pagetable.Table.Populate).
 func (p *ConvProcess) Populate(base, end uint64) error {
-	pageSize := p.os.Geo.PageSize()
-	for va := base; va < end; va += pageSize {
-		page := va &^ (pageSize - 1)
-		if p.Table.Present(page) {
-			continue
-		}
-		if _, err := p.fault(page); err != nil {
-			return err
-		}
-	}
-	return nil
+	n, err := p.Table.Populate(base, end, p.os.alloc)
+	p.os.Stats.MinorFaults += uint64(n)
+	p.os.Stats.PagesMapped += uint64(n)
+	return err
 }
 
 // fault takes the minor fault for the unmapped page at page: it allocates

@@ -1,9 +1,11 @@
 package osmodel
 
 import (
+	"slices"
 	"testing"
 
 	"vbi/internal/pagetable"
+	"vbi/internal/phys"
 )
 
 // populateRanges are offsets into a 64 MB mapping, prefilled in order. They
@@ -144,4 +146,170 @@ func TestGuestPopulateMatchesTouchLoop(t *testing.T) {
 			t.Errorf("geo %d: stats %+v, Touch loop %+v", geo.Levels, popHost.Stats, touchHost.Stats)
 		}
 	}
+}
+
+// fuzzOpLen is the encoded size of one FuzzPopulate operation: a kind
+// byte, then a 5-byte start offset and a 5-byte length.
+const fuzzOpLen = 11
+
+// fuzzOp encodes one FuzzPopulate operation (see decodeFuzzOp).
+func fuzzOp(kind byte, start, length uint64) []byte {
+	b := []byte{kind}
+	for _, v := range []uint64{start, length} {
+		b = append(b, byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	return b
+}
+
+// decodeFuzzOp reads one operation over a mapping of span bytes. Kind bit 0
+// picks a range (else a single touch at start), bits 1 and 2 snap the start
+// and the end down to a page, and bits 3-5 shorten the length by powers of
+// four, so short ranges inside one leaf node are common.
+func decodeFuzzOp(b []byte, span, pageSize uint64) (touch bool, start, end uint64) {
+	kind := b[0]
+	u40 := func(p []byte) uint64 {
+		return uint64(p[0])<<32 | uint64(p[1])<<24 | uint64(p[2])<<16 | uint64(p[3])<<8 | uint64(p[4])
+	}
+	start = u40(b[1:]) % span
+	if kind&2 != 0 {
+		start &^= pageSize - 1
+	}
+	end = start + u40(b[6:])%(span-start+1)>>(2*(kind>>3&7))
+	if kind&4 != 0 && end&^(pageSize-1) > start {
+		end &^= pageSize - 1
+	}
+	return kind&1 == 0, start, end
+}
+
+// demandPager is the address-space surface a process and a guest share.
+type demandPager interface {
+	Mmap(size uint64) uint64
+	Touch(va uint64) (bool, error)
+	Populate(base, end uint64) error
+	Translate(va uint64) (phys.Addr, bool)
+}
+
+// sameTable requires got to have want's nodes, at the same addresses and
+// in the same order, and the same count of mapped pages.
+func sameTable(t *testing.T, name string, got, want *pagetable.Table) {
+	t.Helper()
+	nodes := func(tbl *pagetable.Table) []phys.Addr {
+		var out []phys.Addr
+		tbl.EachNode(func(base phys.Addr, _ uint64) { out = append(out, base) })
+		return out
+	}
+	if got, want := got.NodeBytes(), want.NodeBytes(); got != want {
+		t.Errorf("%s NodeBytes %d, Touch loop %d", name, got, want)
+	}
+	if got, want := nodes(got), nodes(want); !slices.Equal(got, want) {
+		t.Errorf("%s nodes %v, Touch loop %v", name, got, want)
+	}
+	if got, want := got.MappedPages(), want.MappedPages(); got != want {
+		t.Errorf("%s MappedPages %d, Touch loop %d", name, got, want)
+	}
+}
+
+// FuzzPopulate checks Populate against the per-page Touch loop on random
+// operation lists: single-page touches and ranges with unaligned starts
+// and ends, over a mapping three leaf nodes and more wide, with 4 KB or
+// 2 MB pages, for a native process or a guest. Every page must translate
+// alike, and the tables, the allocators' next frames and the statistics
+// must agree.
+func FuzzPopulate(f *testing.F) {
+	// An unaligned start on 2 MB pages: the Touch loop maps one page here,
+	// and aligning the start down first would map two.
+	unaligned := fuzzOp(1, 5000, 2<<20+100-5000)
+	f.Add(true, false, unaligned)
+	f.Add(true, true, unaligned)
+	mixed := slices.Concat(fuzzOp(0, 7<<21+9, 0), fuzzOp(1, 3<<20+123, 5<<30),
+		fuzzOp(3, 2<<20, 8<<20), fuzzOp(1|5<<3, 511<<12+1, 1<<30), fuzzOp(5, 77, 3<<20))
+	f.Add(false, false, mixed)
+	f.Add(false, true, mixed)
+	f.Add(true, true, mixed)
+	f.Fuzz(func(t *testing.T, huge, guest bool, ops []byte) {
+		geo := pagetable.Page4K
+		if huge {
+			geo = pagetable.Page2M
+		}
+		pageSize := geo.PageSize()
+		span := 3*geo.LeafSpan() + 77*pageSize
+		var touched, populated demandPager
+		var check func()
+		if guest {
+			touchHost, popHost := NewVMHost(geo, 1<<36), NewVMHost(geo, 1<<36)
+			tg, err := touchHost.NewGuest(1 << 35)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := popHost.NewGuest(1 << 35)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touched, populated = tg, pg
+			check = func() {
+				sameTable(t, "guest", pg.Nested.Guest, tg.Nested.Guest)
+				sameTable(t, "host", pg.Nested.Host, tg.Nested.Host)
+				if got, want := pg.galloc.Used(0), tg.galloc.Used(0); got != want {
+					t.Errorf("next guest frame %#x, Touch loop %#x", got, want)
+				}
+				if got, want := popHost.alloc.Used(0), touchHost.alloc.Used(0); got != want {
+					t.Errorf("next host frame %#x, Touch loop %#x", got, want)
+				}
+				if popHost.Stats != touchHost.Stats {
+					t.Errorf("stats %+v, Touch loop %+v", popHost.Stats, touchHost.Stats)
+				}
+			}
+		} else {
+			touchOS, popOS := NewConvOS(geo, 1<<36), NewConvOS(geo, 1<<36)
+			tp, err := touchOS.NewProcess()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp, err := popOS.NewProcess()
+			if err != nil {
+				t.Fatal(err)
+			}
+			touched, populated = tp, pp
+			check = func() {
+				sameTable(t, "table", pp.Table, tp.Table)
+				if got, want := popOS.alloc.Used(0), touchOS.alloc.Used(0); got != want {
+					t.Errorf("next frame %#x, Touch loop %#x", got, want)
+				}
+				if popOS.Stats != touchOS.Stats {
+					t.Errorf("stats %+v, Touch loop %+v", popOS.Stats, touchOS.Stats)
+				}
+			}
+		}
+		base := touched.Mmap(span)
+		populated.Mmap(span)
+		for n := 0; len(ops) >= fuzzOpLen && n < 16; n++ {
+			touch, start, end := decodeFuzzOp(ops, span, pageSize)
+			ops = ops[fuzzOpLen:]
+			if touch {
+				if _, err := touched.Touch(base + start); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := populated.Touch(base + start); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			for va := base + start; va < base+end; va += pageSize {
+				if _, err := touched.Touch(va); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := populated.Populate(base+start, base+end); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for va := base; va < base+span; va += pageSize {
+			got, gotOK := populated.Translate(va)
+			want, wantOK := touched.Translate(va)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("page %#x translates to %v,%v, Touch loop %v,%v", va, got, gotOK, want, wantOK)
+			}
+		}
+		check()
+	})
 }

@@ -75,21 +75,9 @@ func (b backedAlloc) AllocSized(size uint64) (phys.Addr, bool) {
 
 // backGPA ensures [gpa, gpa+n) is mapped by the host table.
 func (g *GuestVM) backGPA(gpa uint64, n uint64) error {
-	pageSize := g.host.Geo.PageSize()
-	for base := gpa &^ (pageSize - 1); base < gpa+n; base += pageSize {
-		if g.Nested.Host.Present(base) {
-			continue
-		}
-		hpa, ok := g.host.alloc.AllocSized(pageSize)
-		if !ok {
-			return fmt.Errorf("osmodel: host memory exhausted")
-		}
-		if err := g.Nested.Host.Map(base, hpa); err != nil {
-			return err
-		}
-		g.host.Stats.HostFaults++
-	}
-	return nil
+	backed, err := g.Nested.Host.Populate(gpa, gpa+n, g.host.alloc)
+	g.host.Stats.HostFaults += uint64(backed)
+	return err
 }
 
 // Mmap reserves guest-virtual address space.
@@ -115,18 +103,43 @@ func (g *GuestVM) Touch(gva uint64) (fault bool, err error) {
 }
 
 // Populate demand-pages [base, end) at startup, exactly as Touch of base,
-// base+PageSize, ... below end would, but through both tables' leaf
-// memos: one descent per leaf node instead of two per page.
+// base+PageSize, ... below end would, one guest leaf node at a time. Each
+// node's run keeps the Touch loop's allocation order: its first page, if
+// absent, takes the whole fault (data gPA, any guest nodes with their host
+// backing, then the data gPA's backing); the guest table fills the rest
+// from galloc in page order; then the host table backs those data gPAs,
+// one contiguous span of galloc, before the next run. This is the Touch
+// order because galloc and the host allocator are separate, and guest
+// nodes, the only allocations that take from both, come at a run's first
+// page.
 func (g *GuestVM) Populate(base, end uint64) error {
 	pageSize := g.host.Geo.PageSize()
-	for va := base; va < end; va += pageSize {
-		pageVA := va &^ (pageSize - 1)
-		if g.Nested.Guest.Present(pageVA) {
-			continue
+	span := g.host.Geo.LeafSpan()
+	guest := g.Nested.Guest
+	for va := base; va < end; {
+		page := va &^ (pageSize - 1)
+		// next is the Touch loop's first address in the following node.
+		next := va + (page | (span - 1)) + 1 - page
+		if !guest.Present(page) {
+			if err := g.fault(page); err != nil {
+				return err
+			}
+			va += pageSize
 		}
-		if err := g.fault(pageVA); err != nil {
+		// galloc.Used(0) is the next guest-physical address it hands out.
+		first := g.galloc.Used(0)
+		n, err := guest.Populate(va, min(end, next), g.galloc)
+		g.host.Stats.GuestFaults += uint64(n)
+		if n > 0 {
+			first = (first + pageSize - 1) &^ (pageSize - 1)
+			if err := g.backGPA(first, g.galloc.Used(0)-first); err != nil {
+				return err
+			}
+		}
+		if err != nil {
 			return err
 		}
+		va = next
 	}
 	return nil
 }

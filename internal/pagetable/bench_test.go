@@ -126,3 +126,20 @@ func BenchmarkMapPrefill(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPopulate is BenchmarkMapPrefill's range filled by Populate: one
+// pass per leaf node, with every frame taken from the table's allocator.
+func BenchmarkPopulate(b *testing.B) {
+	const span = 256 << 20
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		alloc := phys.NewBump(0, 512<<20)
+		t, err := New(Page4K, alloc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := t.Populate(0x10000000, 0x10000000+span, alloc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

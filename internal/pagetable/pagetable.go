@@ -9,6 +9,7 @@
 package pagetable
 
 import (
+	"errors"
 	"fmt"
 
 	"vbi/internal/phys"
@@ -43,6 +44,14 @@ var Page2M = Geometry{Levels: 3, PageShift: 21, RootBits: indexBits}
 
 // PageSize returns the mapped page size in bytes.
 func (g Geometry) PageSize() uint64 { return 1 << g.PageShift }
+
+// LeafSpan returns the span of addresses one leaf-level node maps.
+func (g Geometry) LeafSpan() uint64 {
+	if g.Levels == 1 {
+		return g.PageSize() << g.RootBits
+	}
+	return g.PageSize() << indexBits
+}
 
 // rootBytes returns the size of the root node: its entries, rounded up to
 // at least one frame.
@@ -203,6 +212,62 @@ func (t *Table) Map(va uint64, frame phys.Addr) error {
 	*leaf = uint64(frame)
 	return nil
 }
+
+// Populate maps every absent page among va &^ (PageSize-1) for va = base,
+// base+PageSize, ... below end to a fresh page-sized frame from alloc, and
+// returns how many it mapped. Pages and allocations come in exactly the
+// order of a Lookup-then-Map loop over those addresses, but one leaf node
+// at a time: a missing leaf's first page goes through Map (frame first,
+// then the nodes), and every other absent page of the node is written
+// straight into its entries. On error the pages before the failing one
+// stay mapped and counted.
+func (t *Table) Populate(base, end uint64, alloc FrameSource) (int, error) {
+	if end <= base {
+		return 0, nil
+	}
+	pageSize := t.Geo.PageSize()
+	page := base &^ (pageSize - 1)
+	left := (end-base-1)/pageSize + 1
+	leaf := t.Geo.Levels - 1
+	fanout := t.masks[leaf] + 1
+	mapped := 0
+	for left > 0 {
+		idx := t.indexAt(page, leaf)
+		n := min(left, fanout-idx)
+		left -= n
+		if !t.Present(page) {
+			frame, ok := alloc.AllocSized(pageSize)
+			if !ok {
+				return mapped, errNoFrame
+			}
+			if err := t.Map(page, frame); err != nil {
+				return mapped, err
+			}
+			mapped++
+			page += pageSize
+			idx++
+			n--
+		}
+		entries := t.entries[t.memoNode]
+		for ; n > 0; n-- {
+			if entries[idx] == absentEntry {
+				frame, ok := alloc.AllocSized(pageSize)
+				if !ok {
+					return mapped, errNoFrame
+				}
+				entries[idx] = uint64(frame)
+				t.mapped++
+				mapped++
+			}
+			page += pageSize
+			idx++
+		}
+	}
+	return mapped, nil
+}
+
+// errNoFrame reports a frame source that ran dry during Populate.
+var errNoFrame = errors.New("pagetable: out of memory allocating page")
 
 // Present reports whether the page holding va is mapped. It is Lookup for
 // the set-up path: it consults and refreshes the leaf memo Map keeps, so a

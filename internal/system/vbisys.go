@@ -127,11 +127,21 @@ func (r *runner) requestVBs(chunkShift uint) ([][]addr.VBUID, error) {
 // prefill is the initialization pass over the VBs requestVBs laid out:
 // startup writes allocate each structure's live data, chunk by chunk, so
 // the simulated region's zero lines come only from the genuinely
-// never-written cold tails (§5.1).
+// never-written cold tails (§5.1). Without delayed allocation (VBI-1)
+// every first touch allocates, so stepping grows a region table up to its
+// structure's size: it is reserved for that size here, not inside the
+// timed loop. Under delayed allocation the warm bytes bound it, since cold
+// reads are zero lines and writes stay out of the cold tail.
 func (r *runner) prefill(vbs [][]addr.VBUID) error {
+	whole := !r.sys.MTL.Config().DelayedAlloc
 	for si, s := range r.prof.Structs {
 		warm := s.WarmBytes()
 		for ci, u := range vbs[si] {
+			if whole {
+				if err := r.sys.MTL.ReserveRegions(u, chunkLen(s.Size, ci, r.chunkShift)); err != nil {
+					return err
+				}
+			}
 			n := chunkLen(warm, ci, r.chunkShift)
 			if n == 0 {
 				break
