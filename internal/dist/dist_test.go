@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -376,4 +378,81 @@ func TestSelfDescribingVariantRunsOnWorker(t *testing.T) {
 	if reflect.DeepEqual(got[0].Results, base[0].Results) {
 		t.Error("variant ran identically to default Native: the overlay never crossed the wire")
 	}
+}
+
+// TestCoordinatorResumesFromCache pins crash-resume as a property of the
+// cache alone: a run whose context is cancelled after its first shard
+// completed leaves exactly that shard's jobs in Cache, and re-running the
+// same jobs serves those from the cache, simulates only the rest, and
+// matches a serial local run.
+func TestCoordinatorResumesFromCache(t *testing.T) {
+	jobs := testJobs(t)
+	want := localResults(t, jobs)
+	cache := &harness.Cache{Dir: t.TempDir()}
+
+	// The dying worker has a pool of one, so it pulls one two-job shard
+	// per request: it answers the first and holds the second until the
+	// run is cancelled.
+	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
+	var runs atomic.Int64
+	held := make(chan struct{})
+	dying := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathRun && runs.Add(1) > 1 {
+			// Drain the body so the server watches the connection and
+			// cancels the request's context when the coordinator hangs up.
+			io.Copy(io.Discard, req.Body)
+			close(held)
+			select {
+			case <-req.Context().Done():
+			case <-time.After(30 * time.Second):
+				t.Error("the held shard was not abandoned within 30s")
+			}
+			return
+		}
+		inner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(dying.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-held
+		cancel()
+	}()
+	_, err := (&Coordinator{Endpoints: []string{dying.URL}, Cache: cache, ShardSize: 2}).Run(ctx, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if n, err := cache.Len(); err != nil || n != 2 {
+		t.Fatalf("cache holds %d entries after the interrupted run (err=%v), want the first shard's 2", n, err)
+	}
+
+	// The re-run's worker counts the jobs that reach it: only the misses.
+	healthyInner := (&Worker{Runner: &harness.Runner{Workers: 2}}).Handler()
+	var sent atomic.Int64
+	healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathRun {
+			var rr RunRequest
+			body, _ := io.ReadAll(req.Body)
+			if err := json.Unmarshal(body, &rr); err == nil {
+				sent.Add(int64(len(rr.Jobs)))
+			}
+			req.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		healthyInner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(healthy.Close)
+	got, err := (&Coordinator{Endpoints: []string{healthy.URL}, Cache: cache, ShardSize: 2}).
+		Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if finished := i < 2; got[i].Cached != finished {
+			t.Errorf("job %d: Cached = %v, want %v", i, got[i].Cached, finished)
+		}
+	}
+	if n := sent.Load(); n != 2 {
+		t.Errorf("re-run sent %d jobs to the worker, want the 2 that never finished", n)
+	}
+	matchLocal(t, got, want)
 }
