@@ -73,8 +73,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -92,74 +94,100 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var fe flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &fe):
+		// The flag set has already printed the error and the usage.
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "vbisweep:", err)
+		os.Exit(1)
+	}
+}
+
+// flagError is a malformed command line; main exits 2 for it, as
+// flag.Parse would.
+type flagError struct{ error }
+
+// run parses args, runs the sweep they describe and writes the matrix
+// and the run summary to stdout; progress and fleet lines go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vbisweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	params := harness.ParamAxes{}
 	tlsOpts := &dist.TLSOptions{}
 	fleetOpts := &dist.FleetOptions{}
 	logOpts := &obs.LogOptions{}
 	var (
-		daemon  = flag.String("daemon", "", "vbisweepd address; switches to client mode (-submit/-watch/-cancel)")
-		submitF = flag.Bool("submit", false, "submit the grid to -daemon and print the sweep id")
-		watchF  = flag.String("watch", "", "poll this sweep id on -daemon until it finishes and render its matrix")
-		cancelF = flag.String("cancel", "", "cancel (or, when terminal, forget) this sweep id on -daemon")
-		nameF   = flag.String("name", "", "human label attached to a -submit")
+		daemon  = fs.String("daemon", "", "vbisweepd address; switches to client mode (-submit/-watch/-cancel)")
+		submitF = fs.Bool("submit", false, "submit the grid to -daemon and print the sweep id")
+		watchF  = fs.String("watch", "", "poll this sweep id on -daemon until it finishes and render its matrix")
+		cancelF = fs.String("cancel", "", "cancel (or, when terminal, forget) this sweep id on -daemon")
+		nameF   = fs.String("name", "", "human label attached to a -submit")
 	)
 	var (
-		systemsF   = flag.String("systems", "", "comma-separated system/spec names (default Native,VBI-Full; see -list)")
-		workloadsF = flag.String("workloads", "", "comma-separated workload names (default mcf,graph500 unless -bundle is given; see -list)")
-		bundlesF   = flag.String("bundle", "", "comma-separated multiprogrammed bundles: a Table 2 name (wl1) or name=app1+app2+... (see -list)")
-		seedsF     = flag.String("seeds", "", "comma-separated trace seeds (default 1)")
-		refsF      = flag.String("refs", "", "measured references per run; a comma list sweeps refs as an axis (default 100000)")
-		heteroF    = flag.String("hetero", "", "comma-separated heterogeneous memories (replaces -systems; see -list)")
-		policiesF  = flag.String("policies", "", "comma-separated placement policies for -hetero (default all; see -list)")
-		config     = flag.String("config", "", "JSON grid config (exclusive with the axis flags)")
-		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir   = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		cacheStats = flag.Bool("cache-stats", false, "print entry/byte/version stats for -cache and exit")
-		cachePrune = flag.Bool("cache-prune", false, "delete -cache entries from other schema versions and exit")
-		metric     = flag.String("metric", harness.MetricIPC, "matrix metric: "+strings.Join(harness.Metrics(), " or "))
-		jsonOut    = flag.String("json", "", "write the matrix as JSON to this file")
-		csvOut     = flag.String("csv", "", "write the matrix as CSV to this file")
-		list       = flag.Bool("list", false, "list systems, specs, workloads, memories, policies and parameters")
-		verbose    = flag.Bool("v", false, "log every run")
-		versionF   = flag.Bool("version", false, "print protocol and harness versions, then exit")
+		systemsF   = fs.String("systems", "", "comma-separated system/spec names (default Native,VBI-Full; see -list)")
+		workloadsF = fs.String("workloads", "", "comma-separated workload names (default mcf,graph500 unless -bundle is given; see -list)")
+		bundlesF   = fs.String("bundle", "", "comma-separated multiprogrammed bundles: a Table 2 name (wl1) or name=app1+app2+... (see -list)")
+		seedsF     = fs.String("seeds", "", "comma-separated trace seeds (default 1)")
+		refsF      = fs.String("refs", "", "measured references per run; a comma list sweeps refs as an axis (default 100000)")
+		heteroF    = fs.String("hetero", "", "comma-separated heterogeneous memories (replaces -systems; see -list)")
+		policiesF  = fs.String("policies", "", "comma-separated placement policies for -hetero (default all; see -list)")
+		config     = fs.String("config", "", "JSON grid config (exclusive with the axis flags)")
+		workers    = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cacheDir   = fs.String("cache", "", "result-cache directory (empty = no cache)")
+		cacheStats = fs.Bool("cache-stats", false, "print entry/byte/version stats for -cache and exit")
+		cachePrune = fs.Bool("cache-prune", false, "delete -cache entries from other schema versions and exit")
+		metric     = fs.String("metric", harness.MetricIPC, "matrix metric: "+strings.Join(harness.Metrics(), " or "))
+		jsonOut    = fs.String("json", "", "write the matrix as JSON to this file")
+		csvOut     = fs.String("csv", "", "write the matrix as CSV to this file")
+		list       = fs.Bool("list", false, "list systems, specs, workloads, memories, policies and parameters")
+		verbose    = fs.Bool("v", false, "log every run")
+		versionF   = fs.Bool("version", false, "print protocol and harness versions, then exit")
 	)
-	flag.Var(params, "param", "parameter axis name=v1,v2,... (repeatable; see -list)")
-	tlsOpts.Flags(flag.CommandLine)
-	fleetOpts.Flags(flag.CommandLine)
-	logOpts.Flags(flag.CommandLine)
-	flag.Parse()
+	fs.Var(params, "param", "parameter axis name=v1,v2,... (repeatable; see -list)")
+	tlsOpts.Flags(fs)
+	fleetOpts.Flags(fs)
+	logOpts.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
 
 	if *versionF {
-		fmt.Println(dist.VersionLine("vbisweep"))
-		return
+		fmt.Fprintln(stdout, dist.VersionLine("vbisweep"))
+		return nil
 	}
-	logger, err := logOpts.New(os.Stderr)
+	logger, err := logOpts.New(stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *list {
-		printList()
-		return
+		printList(stdout)
+		return nil
 	}
 
 	if *cacheStats || *cachePrune {
 		if *cacheDir == "" {
-			fatal(fmt.Errorf("-cache-stats/-cache-prune need -cache"))
+			return fmt.Errorf("-cache-stats/-cache-prune need -cache")
 		}
-		maintainCache(&harness.Cache{Dir: *cacheDir}, *cachePrune)
-		return
+		return maintainCache(stdout, &harness.Cache{Dir: *cacheDir}, *cachePrune)
 	}
 
 	if err := harness.ValidateMetric(*metric); err != nil {
-		fatal(err)
+		return err
 	}
 
 	// Client modes against a vbisweepd daemon. -watch and -cancel need no
 	// grid; -submit falls through to grid construction first.
 	if *submitF || *watchF != "" || *cancelF != "" {
 		if *daemon == "" {
-			fatal(fmt.Errorf("-submit/-watch/-cancel need -daemon"))
+			return fmt.Errorf("-submit/-watch/-cancel need -daemon")
 		}
 		modes := 0
 		for _, on := range []bool{*submitF, *watchF != "", *cancelF != ""} {
@@ -168,16 +196,16 @@ func main() {
 			}
 		}
 		if modes > 1 {
-			fatal(fmt.Errorf("give exactly one of -submit, -watch or -cancel"))
+			return fmt.Errorf("give exactly one of -submit, -watch or -cancel")
 		}
 	} else if *daemon != "" {
-		fatal(fmt.Errorf("-daemon needs one of -submit, -watch or -cancel"))
+		return fmt.Errorf("-daemon needs one of -submit, -watch or -cancel")
 	}
 	var client *sweepd.Client
 	if *daemon != "" {
 		httpc, err := tlsOpts.Client()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		client = &sweepd.Client{
 			Base:      dist.ApplyScheme([]string{*daemon}, tlsOpts.Scheme())[0],
@@ -188,14 +216,13 @@ func main() {
 	if *cancelF != "" {
 		st, err := client.Cancel(*cancelF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("sweep %s: %s\n", st.ID, st.State)
-		return
+		fmt.Fprintf(stdout, "sweep %s: %s\n", st.ID, st.State)
+		return nil
 	}
 	if *watchF != "" {
-		watchSweep(client, *watchF, *jsonOut, *csvOut)
-		return
+		return watchSweep(stdout, stderr, client, *watchF, *jsonOut, *csvOut)
 	}
 
 	var grid harness.Grid
@@ -207,18 +234,18 @@ func main() {
 			"param": true, "hetero": true, "policies": true, "bundle": true,
 		}
 		var conflict []string
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			if axisFlags[f.Name] {
 				conflict = append(conflict, "-"+f.Name)
 			}
 		})
 		if len(conflict) > 0 {
-			fatal(fmt.Errorf("-config is exclusive with the axis flags (%s); put the axes in the config file",
-				strings.Join(conflict, ", ")))
+			return fmt.Errorf("-config is exclusive with the axis flags (%s); put the axes in the config file",
+				strings.Join(conflict, ", "))
 		}
 		g, err := harness.LoadGrid(*config)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		grid = g
 		if grid.Refs == 0 && len(grid.RefsAxis) == 0 {
@@ -227,15 +254,15 @@ func main() {
 	} else {
 		seeds, err := parseSeeds(orDefault(*seedsF, "1"))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		refsAxis, err := parseInts(orDefault(*refsF, "100000"))
 		if err != nil {
-			fatal(fmt.Errorf("bad -refs: %w", err))
+			return fmt.Errorf("bad -refs: %w", err)
 		}
 		bundles, err := harness.ParseBundles(*bundlesF)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		// A bundle-only sweep should not silently grow default single-core
 		// rows; -workloads still adds them explicitly.
@@ -252,16 +279,16 @@ func main() {
 		}
 		if *heteroF != "" {
 			if *systemsF != "" {
-				fatal(fmt.Errorf("-hetero replaces -systems; give one or the other"))
+				return fmt.Errorf("-hetero replaces -systems; give one or the other")
 			}
 			if len(bundles) > 0 {
-				fatal(fmt.Errorf("-bundle conflicts with -hetero: bundles are multiprogrammed, heterogeneous jobs are single-core"))
+				return fmt.Errorf("-bundle conflicts with -hetero: bundles are multiprogrammed, heterogeneous jobs are single-core")
 			}
 			grid.HeteroMems = splitList(*heteroF)
 			grid.Policies = splitList(*policiesF)
 		} else {
 			if *policiesF != "" {
-				fatal(fmt.Errorf("-policies only applies to -hetero grids"))
+				return fmt.Errorf("-policies only applies to -hetero grids")
 			}
 			grid.Systems = splitList(orDefault(*systemsF, "Native,VBI-Full"))
 		}
@@ -275,16 +302,16 @@ func main() {
 			Metric:  *metric,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("submitted %s (%d jobs)\nwatch with: vbisweep -daemon %s -watch %s\n",
+		fmt.Fprintf(stdout, "submitted %s (%d jobs)\nwatch with: vbisweep -daemon %s -watch %s\n",
 			resp.ID, resp.Total, *daemon, resp.ID)
-		return
+		return nil
 	}
 
 	jobs, err := grid.Jobs()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	runner := &harness.Runner{Workers: *workers}
@@ -292,11 +319,11 @@ func main() {
 		runner.Cache = &harness.Cache{Dir: *cacheDir}
 	}
 	if *verbose {
-		runner.Progress = os.Stderr
+		runner.Progress = stderr
 	}
 	exec, closeFleet, err := fleetOpts.Coordinator("vbisweep", tlsOpts, runner, logger)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer closeFleet()
 	// Ctrl-C stops feeding the pool: in-flight jobs finish and cached
@@ -312,14 +339,14 @@ func main() {
 
 	results, err := exec.Run(ctx, jobs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	t, err := grid.Matrix(results, *metric)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print(t.Render())
+	fmt.Fprint(stdout, t.Render())
 
 	cached := 0
 	for _, r := range results {
@@ -327,45 +354,45 @@ func main() {
 			cached++
 		}
 	}
-	fmt.Printf("\n%d runs (%d simulated, %d from cache)\n",
+	fmt.Fprintf(stdout, "\n%d runs (%d simulated, %d from cache)\n",
 		len(results), len(results)-cached, cached)
+	return writeTable(t, *jsonOut, *csvOut)
+}
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
+// writeTable writes the matrix to the -json and -csv files that are set.
+func writeTable(t *stats.Table, jsonOut, csvOut string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{jsonOut, t.WriteJSON}, {csvOut, t.WriteCSV}} {
+		if out.path == "" {
+			continue
 		}
-		if err := t.WriteJSON(f); err != nil {
-			fatal(err)
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		if err := out.write(f); err != nil {
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	if *csvOut != "" {
-		f, err := os.Create(*csvOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := t.WriteCSV(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
+	return nil
 }
 
 // watchSweep polls one sweep to completion, reporting progress to stderr,
 // then renders its matrix like a local run: table to stdout, optional
 // -json/-csv files. The re-rendered WriteJSON output is byte-identical to
 // what a serial local `vbisweep -json` writes for the same grid.
-func watchSweep(client *sweepd.Client, id, jsonOut, csvOut string) {
+func watchSweep(stdout, stderr io.Writer, client *sweepd.Client, id, jsonOut, csvOut string) error {
 	var last string
 	for {
 		sr, err := client.Get(id)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		line := fmt.Sprintf("sweep %s: %s %d/%d (%d cached, %d in flight, %d queued)",
 			sr.ID, sr.State, sr.Completed, sr.Total, sr.Cached, sr.InFlight, sr.Queued)
@@ -374,83 +401,59 @@ func watchSweep(client *sweepd.Client, id, jsonOut, csvOut string) {
 				(time.Duration(sr.ETASeconds * float64(time.Second))).Round(time.Second))
 		}
 		if line != last {
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(stderr, line)
 			last = line
 		}
 		switch sr.State {
 		case sweepd.StateFailed:
-			fatal(fmt.Errorf("sweep %s failed: %s", sr.ID, sr.Error))
+			return fmt.Errorf("sweep %s failed: %s", sr.ID, sr.Error)
 		case sweepd.StateCancelled:
-			fatal(fmt.Errorf("sweep %s was cancelled", sr.ID))
+			return fmt.Errorf("sweep %s was cancelled", sr.ID)
 		case sweepd.StateDone:
 			var t stats.Table
 			if err := json.Unmarshal(sr.Table, &t); err != nil {
-				fatal(fmt.Errorf("decode result table: %w", err))
+				return fmt.Errorf("decode result table: %w", err)
 			}
-			fmt.Print(t.Render())
-			fmt.Printf("\n%d runs (%d served from daemon cache)\n", sr.Total, sr.Cached)
+			fmt.Fprint(stdout, t.Render())
+			fmt.Fprintf(stdout, "\n%d runs (%d served from daemon cache)\n", sr.Total, sr.Cached)
 			if sr.SimSeconds > 0 {
-				fmt.Printf("worker compute: %.2fs across %d simulated jobs\n",
+				fmt.Fprintf(stdout, "worker compute: %.2fs across %d simulated jobs\n",
 					sr.SimSeconds, sr.Total-sr.Cached)
 			}
 			if sr.Phases != nil {
-				fmt.Printf("phase events: %s\n", sr.Phases)
+				fmt.Fprintf(stdout, "phase events: %s\n", sr.Phases)
 			}
-			if jsonOut != "" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					fatal(err)
-				}
-				if err := t.WriteJSON(f); err != nil {
-					fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					fatal(err)
-				}
-			}
-			if csvOut != "" {
-				f, err := os.Create(csvOut)
-				if err != nil {
-					fatal(err)
-				}
-				if err := t.WriteCSV(f); err != nil {
-					fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					fatal(err)
-				}
-			}
-			return
+			return writeTable(&t, jsonOut, csvOut)
 		}
 		time.Sleep(500 * time.Millisecond)
 	}
 }
 
 // maintainCache implements -cache-stats and -cache-prune.
-func maintainCache(cache *harness.Cache, prune bool) {
+func maintainCache(stdout io.Writer, cache *harness.Cache, prune bool) error {
 	st, err := cache.Stats()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if prune {
 		// Say what is about to go before deleting anything: stale entries
 		// and their bytes come from the same Stats scan the -cache-stats
 		// report uses.
 		staleEntries, staleBytes := st.Stale(harness.Version)
-		fmt.Printf("pruning %d stale entries (%d bytes) not matching %s\n",
+		fmt.Fprintf(stdout, "pruning %d stale entries (%d bytes) not matching %s\n",
 			staleEntries, staleBytes, harness.Version)
 		removed, err := cache.Prune(harness.Version)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("pruned %d entries\n", removed)
+		fmt.Fprintf(stdout, "pruned %d entries\n", removed)
 		// Re-scan for the closing report: what is actually on disk after
 		// the mutation, not an inference from the pre-prune scan.
 		if st, err = cache.Stats(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("cache %s: %d entries, %d bytes\n", cache.Dir, st.Entries, st.Bytes)
+	fmt.Fprintf(stdout, "cache %s: %d entries, %d bytes\n", cache.Dir, st.Entries, st.Bytes)
 	versions := make([]string, 0, len(st.Versions))
 	for v := range st.Versions {
 		versions = append(versions, v)
@@ -461,20 +464,21 @@ func maintainCache(cache *harness.Cache, prune bool) {
 		if v != harness.Version {
 			note = "  (stale: -cache-prune reclaims)"
 		}
-		fmt.Printf("  %-20s %d%s\n", v, st.Versions[v], note)
+		fmt.Fprintf(stdout, "  %-20s %d%s\n", v, st.Versions[v], note)
 	}
+	return nil
 }
 
 // printList enumerates everything a sweep axis can name.
-func printList() {
-	harness.WriteSpecList(os.Stdout)
-	fmt.Println("workloads:")
+func printList(w io.Writer) {
+	harness.WriteSpecList(w)
+	fmt.Fprintln(w, "workloads:")
 	for _, n := range workloads.Names() {
-		fmt.Printf("  %s\n", n)
+		fmt.Fprintf(w, "  %s\n", n)
 	}
-	harness.WriteBundleList(os.Stdout)
-	harness.WriteHeteroList(os.Stdout)
-	harness.WriteParamList(os.Stdout)
+	harness.WriteBundleList(w)
+	harness.WriteHeteroList(w)
+	harness.WriteParamList(w)
 }
 
 func orDefault(s, def string) string {
@@ -516,9 +520,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vbisweep:", err)
-	os.Exit(1)
 }
