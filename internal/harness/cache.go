@@ -69,7 +69,9 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.Dir, key+".json")
 }
 
-// Get returns the cached results for a job, if present and valid.
+// Get returns the cached results for a job, if present and valid. An
+// entry that does not parse, was stored under another Version or for
+// another job, or does not hold one result per workload is a miss.
 func (c *Cache) Get(j Job) ([]system.RunResult, bool) {
 	b, err := os.ReadFile(c.path(c.Key(j)))
 	if err != nil {
@@ -82,10 +84,11 @@ func (c *Cache) Get(j Job) ([]system.RunResult, bool) {
 		return nil, false
 	}
 	// Reject collisions/corruption: the stored spec must round-trip to the
-	// same canonical JSON as the requested one.
+	// same canonical JSON as the requested one, and every job runs one
+	// core per workload, so a well-formed entry holds one result each.
 	want, _ := json.Marshal(j)
 	got, _ := json.Marshal(e.Job)
-	if !bytes.Equal(want, got) {
+	if !bytes.Equal(want, got) || len(e.Results) != len(j.Workloads) {
 		c.misses.Add(1)
 		return nil, false
 	}

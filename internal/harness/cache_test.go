@@ -55,6 +55,40 @@ func TestCacheCorruptEntryMisses(t *testing.T) {
 	}
 }
 
+// TestCacheResultCountMismatchMisses asserts an entry that matches its
+// job but does not hold one result per workload reads as a miss. An
+// emptied "results" array used to be served as a hit, and the matrix
+// printed 0.000 for its cell.
+func TestCacheResultCountMismatchMisses(t *testing.T) {
+	c, path := cacheWithEntry(t, cacheJob)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e entry
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatal(err)
+	}
+	e.Results = nil
+	nb, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, nb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(cacheJob); ok {
+		t.Errorf("entry with %d results for one workload served as a hit", len(res))
+	}
+
+	// A bundle entry holding one core's result is short too.
+	bundle := Job{Spec: system.MustSpec("Native"), Workloads: []string{"namd", "sjeng"}, Refs: 1000, Seed: 1}
+	c, _ = cacheWithEntry(t, bundle)
+	if res, ok := c.Get(bundle); ok {
+		t.Errorf("entry with %d results for a two-workload bundle served as a hit", len(res))
+	}
+}
+
 // TestCacheSpecMismatchMisses asserts an entry whose embedded job spec
 // does not round-trip to the requested one (hash collision, hand-edited
 // file, entry copied to the wrong key) reads as a miss.

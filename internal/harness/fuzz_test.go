@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -187,4 +189,73 @@ func TestJobKeySurvivesJSONRoundTrip(t *testing.T) {
 			t.Errorf("%s: cache key changed across a JSON round trip", j.Describe())
 		}
 	}
+}
+
+// FuzzCacheEntry writes arbitrary bytes at a job's cache path. Get must
+// never panic, and it may serve a hit only for a well-formed entry of
+// that job: the current Version, a stored job with the same canonical
+// JSON, and one result per workload. Everything else is a miss, never a
+// result the matrix would silently print.
+func FuzzCacheEntry(f *testing.F) {
+	jobs := []Job{
+		{Spec: system.MustSpec("Native"), Workloads: []string{"namd"}, Refs: 1000, Seed: 1},
+		{Spec: system.MustSpec("VBI-Full"), Workloads: []string{"namd", "sjeng"}, Refs: 2000},
+		{Workloads: []string{"sphinx3"}, HeteroMem: "PCM-DRAM", Policy: "VBI", Refs: 1500},
+	}
+	for i, j := range jobs {
+		c := &Cache{Dir: f.TempDir()}
+		res := make([]system.RunResult, len(j.Workloads))
+		for k := range res {
+			res[k] = system.RunResult{System: "s", Workload: j.Workloads[k], IPC: 1.5, Cycles: 1000}
+		}
+		if err := c.Put(j, res); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(c.path(c.Key(j)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b, uint8(i))
+		f.Add(b[:len(b)/2], uint8(i))
+		f.Add(bytes.Replace(b, []byte(Version), []byte("vbi-harness-v2"), 1), uint8(i))
+		f.Add(b, uint8(i+1)) // another job's entry at this job's key
+		var e entry
+		if err := json.Unmarshal(b, &e); err != nil {
+			f.Fatal(err)
+		}
+		e.Results = e.Results[:len(e.Results)-1]
+		short, err := json.Marshal(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(short, uint8(i))
+	}
+	f.Add([]byte(`null`), uint8(0))
+	f.Add([]byte(`{"version":"`+Version+`","job":null,"results":null}`), uint8(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
+		j := jobs[int(which)%len(jobs)]
+		c := &Cache{Dir: t.TempDir()}
+		if err := os.WriteFile(c.path(c.Key(j)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok := c.Get(j)
+
+		var e entry
+		wellFormed := json.Unmarshal(data, &e) == nil && e.Version == Version &&
+			len(e.Results) == len(j.Workloads)
+		if wellFormed {
+			want, _ := json.Marshal(j)
+			got, err := json.Marshal(e.Job)
+			wellFormed = err == nil && bytes.Equal(want, got)
+		}
+		switch {
+		case ok && !wellFormed:
+			t.Fatalf("malformed entry served as a hit with %d results:\n%q", len(res), data)
+		case !ok && wellFormed:
+			t.Fatalf("well-formed entry read as a miss:\n%q", data)
+		case ok && !reflect.DeepEqual(res, e.Results):
+			t.Fatalf("hit returned %+v, entry holds %+v", res, e.Results)
+		}
+	})
 }
