@@ -409,6 +409,14 @@ func ExecuteShard(ctx context.Context, client *http.Client, m Member, token stri
 	if len(rr.Results) != len(batch) {
 		return RunResponse{}, nil, fmt.Errorf("run: %d results for %d jobs", len(rr.Results), len(batch))
 	}
+	// Each job runs one core per workload. A reply that breaks this would
+	// reach Cache.Put, so it is retried like any other bad reply.
+	for i, jr := range rr.Results {
+		if len(jr.Results) != len(batch[i].Workloads) {
+			return RunResponse{}, nil, fmt.Errorf("run: job %d (%s): %d results for %d workloads",
+				i, batch[i].Describe(), len(jr.Results), len(batch[i].Workloads))
+		}
+	}
 	return rr, nil, nil
 }
 

@@ -456,3 +456,49 @@ func TestCoordinatorResumesFromCache(t *testing.T) {
 	}
 	matchLocal(t, got, want)
 }
+
+// TestMalformedReplyRetried asserts a worker reply that does not hold one
+// result per workload for every job is a retryable failure: the shard is
+// sent again, nothing malformed reaches the cache, and the run matches a
+// serial local run.
+func TestMalformedReplyRetried(t *testing.T) {
+	jobs := testJobs(t)
+	want := localResults(t, jobs)
+	cache := &harness.Cache{Dir: t.TempDir()}
+
+	// The first /run is answered with the right number of job results,
+	// the last of which holds no run result; later ones are served.
+	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
+	var runs atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathRun && runs.Add(1) == 1 {
+			var rr RunRequest
+			if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
+				t.Error(err)
+			}
+			resp := RunResponse{Results: make([]JobResult, len(rr.Jobs))}
+			for i := range resp.Results[:len(rr.Jobs)-1] {
+				resp.Results[i].Results = make([]system.RunResult, len(rr.Jobs[i].Workloads))
+			}
+			writeJSON(rw, http.StatusOK, resp)
+			return
+		}
+		inner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(srv.Close)
+
+	got, err := (&Coordinator{Endpoints: []string{srv.URL}, Cache: cache, ShardSize: len(jobs)}).
+		Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchLocal(t, got, want)
+	if n := runs.Load(); n != 2 {
+		t.Errorf("worker saw %d /run requests, want the malformed one and its retry", n)
+	}
+	for i, j := range jobs {
+		if res, ok := cache.Get(j); !ok || !reflect.DeepEqual(res, want[i].Results) {
+			t.Errorf("job %d: cache entry is not the local run's results", i)
+		}
+	}
+}
