@@ -15,9 +15,6 @@
 //	vbisweep -config grid.json -workers 8 -cache .vbicache -csv out.csv -json out.json
 //	vbisweep -config grid.json -remote 10.0.0.7:9471,10.0.0.8:9471 -cache .vbicache
 //	vbisweep -config grid.json -fleet :9600 -auth-token secret -cache .vbicache
-//	vbisweep -daemon 10.0.0.1:9600 -submit -config grid.json -name fig6
-//	vbisweep -daemon 10.0.0.1:9600 -watch sw-688f...-a1b2c3d4 -json out.json
-//	vbisweep -daemon 10.0.0.1:9600 -cancel sw-688f...-a1b2c3d4
 //	vbisweep -cache .vbicache -cache-stats
 //	vbisweep -list
 //
@@ -37,17 +34,11 @@
 // there, may join mid-sweep, and are evicted (their shards requeued) when
 // their heartbeats stop. -auth-token (or $VBI_AUTH_TOKEN) authenticates
 // both directions, and the -tls-cert/-tls-key/-tls-ca flags wrap every
-// route in TLS (mTLS when -tls-ca is given; see DESIGN.md §6).
-// -cache-stats and -cache-prune inspect and clean the cache directory
-// without running anything.
-//
-// -daemon switches to client mode against a vbisweepd service instead of
-// executing anything locally: -submit posts the grid (from -config or the
-// axis flags) and prints the sweep id, -watch polls a sweep to completion
-// and renders its matrix (honoring -json/-csv; the re-rendered JSON is
-// byte-identical to a local run's), -cancel deletes it. The daemon owns
-// the fleet, the journal and the cache; this process can disconnect any
-// time without losing the sweep.
+// route in TLS (mTLS when -tls-ca is given; see DESIGN.md §5). To resume
+// a sweep that was interrupted or killed, re-run it with the same -cache:
+// every job that finished is served from the cache and only the rest
+// run. -cache-stats and -cache-prune inspect and clean the cache
+// directory without running anything.
 //
 // -param may repeat; each occurrence adds one axis and the grid expands
 // the cross product. Parameter names come from the system spec registry
@@ -72,7 +63,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,13 +73,11 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"vbi/internal/dist"
 	"vbi/internal/harness"
 	"vbi/internal/obs"
 	"vbi/internal/stats"
-	"vbi/internal/sweepd"
 	"vbi/internal/workloads"
 )
 
@@ -120,13 +108,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tlsOpts := &dist.TLSOptions{}
 	fleetOpts := &dist.FleetOptions{}
 	logOpts := &obs.LogOptions{}
-	var (
-		daemon  = fs.String("daemon", "", "vbisweepd address; switches to client mode (-submit/-watch/-cancel)")
-		submitF = fs.Bool("submit", false, "submit the grid to -daemon and print the sweep id")
-		watchF  = fs.String("watch", "", "poll this sweep id on -daemon until it finishes and render its matrix")
-		cancelF = fs.String("cancel", "", "cancel (or, when terminal, forget) this sweep id on -daemon")
-		nameF   = fs.String("name", "", "human label attached to a -submit")
-	)
 	var (
 		systemsF   = fs.String("systems", "", "comma-separated system/spec names (default Native,VBI-Full; see -list)")
 		workloadsF = fs.String("workloads", "", "comma-separated workload names (default mcf,graph500 unless -bundle is given; see -list)")
@@ -181,48 +162,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if err := harness.ValidateMetric(*metric); err != nil {
 		return err
-	}
-
-	// Client modes against a vbisweepd daemon. -watch and -cancel need no
-	// grid; -submit falls through to grid construction first.
-	if *submitF || *watchF != "" || *cancelF != "" {
-		if *daemon == "" {
-			return fmt.Errorf("-submit/-watch/-cancel need -daemon")
-		}
-		modes := 0
-		for _, on := range []bool{*submitF, *watchF != "", *cancelF != ""} {
-			if on {
-				modes++
-			}
-		}
-		if modes > 1 {
-			return fmt.Errorf("give exactly one of -submit, -watch or -cancel")
-		}
-	} else if *daemon != "" {
-		return fmt.Errorf("-daemon needs one of -submit, -watch or -cancel")
-	}
-	var client *sweepd.Client
-	if *daemon != "" {
-		httpc, err := tlsOpts.Client()
-		if err != nil {
-			return err
-		}
-		client = &sweepd.Client{
-			Base:      dist.ApplyScheme([]string{*daemon}, tlsOpts.Scheme())[0],
-			AuthToken: dist.ResolveToken(fleetOpts.AuthToken),
-			HTTP:      httpc,
-		}
-	}
-	if *cancelF != "" {
-		st, err := client.Cancel(*cancelF)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "sweep %s: %s\n", st.ID, st.State)
-		return nil
-	}
-	if *watchF != "" {
-		return watchSweep(stdout, stderr, client, *watchF, *jsonOut, *csvOut)
 	}
 
 	var grid harness.Grid
@@ -292,21 +231,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			grid.Systems = splitList(orDefault(*systemsF, "Native,VBI-Full"))
 		}
-	}
-
-	if *submitF {
-		resp, err := client.Submit(sweepd.SubmitRequest{
-			Version: dist.ProtocolVersion,
-			Name:    *nameF,
-			Grid:    grid,
-			Metric:  *metric,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "submitted %s (%d jobs)\nwatch with: vbisweep -daemon %s -watch %s\n",
-			resp.ID, resp.Total, *daemon, resp.ID)
-		return nil
 	}
 
 	jobs, err := grid.Jobs()
@@ -381,52 +305,6 @@ func writeTable(t *stats.Table, jsonOut, csvOut string) error {
 		}
 	}
 	return nil
-}
-
-// watchSweep polls one sweep to completion, reporting progress to stderr,
-// then renders its matrix like a local run: table to stdout, optional
-// -json/-csv files. The re-rendered WriteJSON output is byte-identical to
-// what a serial local `vbisweep -json` writes for the same grid.
-func watchSweep(stdout, stderr io.Writer, client *sweepd.Client, id, jsonOut, csvOut string) error {
-	var last string
-	for {
-		sr, err := client.Get(id)
-		if err != nil {
-			return err
-		}
-		line := fmt.Sprintf("sweep %s: %s %d/%d (%d cached, %d in flight, %d queued)",
-			sr.ID, sr.State, sr.Completed, sr.Total, sr.Cached, sr.InFlight, sr.Queued)
-		if sr.JobsPerSecond > 0 {
-			line += fmt.Sprintf(" — %.1f jobs/s, ETA %s", sr.JobsPerSecond,
-				(time.Duration(sr.ETASeconds * float64(time.Second))).Round(time.Second))
-		}
-		if line != last {
-			fmt.Fprintln(stderr, line)
-			last = line
-		}
-		switch sr.State {
-		case sweepd.StateFailed:
-			return fmt.Errorf("sweep %s failed: %s", sr.ID, sr.Error)
-		case sweepd.StateCancelled:
-			return fmt.Errorf("sweep %s was cancelled", sr.ID)
-		case sweepd.StateDone:
-			var t stats.Table
-			if err := json.Unmarshal(sr.Table, &t); err != nil {
-				return fmt.Errorf("decode result table: %w", err)
-			}
-			fmt.Fprint(stdout, t.Render())
-			fmt.Fprintf(stdout, "\n%d runs (%d served from daemon cache)\n", sr.Total, sr.Cached)
-			if sr.SimSeconds > 0 {
-				fmt.Fprintf(stdout, "worker compute: %.2fs across %d simulated jobs\n",
-					sr.SimSeconds, sr.Total-sr.Cached)
-			}
-			if sr.Phases != nil {
-				fmt.Fprintf(stdout, "phase events: %s\n", sr.Phases)
-			}
-			return writeTable(&t, jsonOut, csvOut)
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
 }
 
 // maintainCache implements -cache-stats and -cache-prune.

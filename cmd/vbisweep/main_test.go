@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +52,24 @@ func TestOutputGolden(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("output differs from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+		}
+	}
+}
+
+// TestDaemonFlagUnknown asserts the sweep-daemon client flags are gone: a
+// command line that names one is a flag error (main exits 2), not a
+// silently ignored option. Resuming a sweep is a re-run with the same
+// -cache.
+func TestDaemonFlagUnknown(t *testing.T) {
+	for _, name := range []string{"-daemon", "-submit", "-watch", "-cancel", "-name"} {
+		var stderr bytes.Buffer
+		err := run([]string{name, "x"}, io.Discard, &stderr)
+		var fe flagError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want a flag error", name, err)
+		}
+		if want := "flag provided but not defined: " + name; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s: stderr %q does not contain %q", name, stderr.String(), want)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command vbiworker serves harness job batches to a remote coordinator
-// (vbisweep -remote / -fleet, vbibench -remote / -fleet, vbisweepd). It
+// (vbisweep -remote / -fleet, vbibench -remote / -fleet). It
 // wraps the ordinary local worker pool in the internal/dist HTTP
 // protocol: POST /run takes a batch of canonical job specs and returns
 // positional results; GET /healthz advertises the binary's harness
@@ -53,7 +53,7 @@ func main() {
 		addr      = flag.String("addr", ":9471", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir  = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		join      = flag.String("join", "", "coordinator fleet address (vbisweep -fleet / vbisweepd) to register with and heartbeat")
+		join      = flag.String("join", "", "coordinator fleet address (vbisweep -fleet / vbibench -fleet) to register with and heartbeat")
 		advertise = flag.String("advertise", "", "address advertised on -join for shard requests (default -addr; an empty host is filled in by the coordinator)")
 		authToken = flag.String("auth-token", "", "shared fleet token gating this worker's endpoints and sent on -join (default $"+dist.AuthEnv+")")
 		drainWait = flag.Duration("drain-timeout", 15*time.Minute, "how long a drain waits for in-flight shards before force-quitting")

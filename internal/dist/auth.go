@@ -34,7 +34,6 @@ func setAuth(req *http.Request, token string) {
 // sides of the protocol are gated — the worker's /healthz and /run, and
 // the coordinator's /register — so neither an unauthenticated coordinator
 // can hand shards to a fleet nor an unauthenticated host can join one.
-// The sweep daemon gates its API with the same shared token.
 func RequireAuth(token string, next http.Handler) http.Handler {
 	if token == "" {
 		return next

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vbi/internal/harness"
@@ -25,26 +24,23 @@ import (
 //
 // The fleet can be static, dynamic, or both. Endpoints lists workers
 // known up front (the -remote flag); Run seeds them into the registry
-// through Registry.AddRemote, the one -remote path the sweep daemon also
-// takes, after the cache pre-pass, so a fully cached batch contacts no
-// worker. Fleet, when non-nil, is a membership registry whose
+// through Registry.AddRemote, the one -remote path, after the cache
+// pre-pass, so a fully cached batch contacts no worker. Fleet, when non-nil, is a membership registry whose
 // /register endpoint the coordinator's front-end serves (-fleet): workers
 // join and leave while the sweep runs, a joiner immediately starts
 // pulling queued shards, and a worker that dies — detected by request
 // failure or missed heartbeats — has its in-flight shards requeued for
 // the survivors.
 //
-// Each Run submits its batch to a Scheduler (the one the sweep daemon
-// also runs): the batch is cut into fixed-size shards of job indices, and
-// each live member repeatedly pulls up to its advertised worker count of
-// shards per request, so faster and wider workers naturally take more of
-// the batch. A member that fails Retries consecutive times is dropped
+// Each Run dispatches its batch through one scheduler: the batch is cut
+// into fixed-size shards of job indices, and each live member repeatedly
+// pulls up to its advertised worker count of shards per request, so
+// faster and wider workers naturally take more of the batch. A member that fails Retries consecutive times is dropped
 // (and, for dynamic members, quarantined in the registry). Results merge
 // positionally and completed shards stream into Cache as they arrive, so
 // the output is byte-identical to a serial local run regardless of
-// membership history, and an aborted sweep resumes incrementally.
-//
-// The fields also configure a Scheduler built with NewScheduler.
+// membership history, and an aborted sweep resumes incrementally:
+// re-running it serves every finished job from the cache.
 type Coordinator struct {
 	// Endpoints lists workers as "host:port" (or full base URLs), known up
 	// front. With no Endpoints and no Fleet, the batch runs on Local (or a
@@ -79,8 +75,8 @@ type Coordinator struct {
 	// Progress, when non-nil, receives shard-level progress lines.
 	Progress io.Writer
 	// Logger, when non-nil, receives structured shard-lifecycle records
-	// (dispatch, completion, failure). Each Scheduler (one per Run) mints
-	// a root trace ID and numbers its shards ("<root>/<seq>"); the chain
+	// (dispatch, completion, failure). Each Run mints a root trace ID and
+	// numbers its shards ("<root>/<seq>"); the chain
 	// is sent to workers in the obs.TraceHeader header and attached to
 	// every record here, so one grep follows a shard through both
 	// processes' logs.
@@ -145,8 +141,7 @@ func (c *Coordinator) pollInterval() time.Duration {
 }
 
 // SplitEndpoints parses a comma-separated -remote flag value into an
-// endpoint list, dropping empty entries. FleetOptions and vbisweepd use
-// it so -remote parsing cannot diverge between front-ends.
+// endpoint list, dropping empty entries.
 func SplitEndpoints(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -282,58 +277,25 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 			strings.Join(c.Endpoints, ","), strings.Join(skipped, "; "))
 	}
 
-	s := c.NewScheduler(reg)
-	nshards := (len(miss) + c.shardSize() - 1) / c.shardSize()
-	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
-	c.log().Info("batch start", "trace", s.trace, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
-
-	finished := make(chan error, 1)
-	finish := func(err error) {
-		select {
-		case finished <- err:
-		default:
-		}
-	}
-	var left atomic.Int64
-	left.Store(int64(len(miss)))
-	s.Submit(jobs, miss, func(idx int, jr JobResult) {
+	s := newScheduler(c, reg, jobs, miss, func(idx int, jr JobResult) error {
 		// Timing rides beside the results into the merged matrix; the
 		// cache stores only jr.Results, so cached bytes stay identical
 		// to a serial local run.
 		results[idx] = harness.Result{Job: jobs[idx], Results: jr.Results, Cached: jr.Cached, Timing: jr.Timing}
 		if c.Cache != nil {
 			if err := c.Cache.Put(jobs[idx], jr.Results); err != nil {
-				finish(fmt.Errorf("cache put: %w", err))
-				return
+				return fmt.Errorf("cache put: %w", err)
 			}
 		}
-		if left.Add(-1) == 0 {
-			finish(nil)
-		}
-	}, finish)
-
-	runCtx, cancel := context.WithCancel(ctx)
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		s.Run(runCtx)
-	}()
-	// Joining the scheduler joins every serve loop, so no result sink
-	// runs after Run returns.
-	defer func() {
-		cancel()
-		<-stopped
-	}()
-
-	select {
-	case err := <-finished:
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil
+	})
+	nshards := len(s.queue.tasks)
+	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
+	c.log().Info("batch start", "trace", s.trace, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
+	if err := s.dispatch(ctx); err != nil {
+		return nil, err
 	}
+	return results, nil
 }
 
 // Probe fetches one endpoint's handshake (PathHealthz), the client half
@@ -366,7 +328,7 @@ func Probe(ctx context.Context, client *http.Client, base, token string) (Hello,
 // and returns its positional results. The second return is a fatal error
 // (version mismatch: this worker can never serve this process), the
 // third a retryable one (requeue the shard for the rest of the fleet).
-// The Scheduler's serve loops dispatch every shard through it.
+// The scheduler's serve loops dispatch every shard through it.
 // A non-empty trace is sent as the obs.TraceHeader header; the worker
 // attaches it to its shard log records, joining the two processes' logs.
 func ExecuteShard(ctx context.Context, client *http.Client, m Member, token string,

@@ -33,6 +33,13 @@ func postRegister(t *testing.T, url string, body RegisterRequest, token string) 
 	return resp
 }
 
+// members counts every registered member, quarantined ones included.
+func members(reg *Registry) int {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return len(reg.members)
+}
+
 // TestRegistryRegisterHTTP pins the /register contract: a valid join is
 // accepted (with the heartbeat interval announced), an unspecified host in
 // the advertised address is filled from the connection's source, and a
@@ -185,7 +192,7 @@ func TestAddRemote(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(reg.Snapshot()); n != 0 {
+		if n := members(reg); n != 0 {
 			t.Errorf("draining worker registered (%d members)", n)
 		}
 		if !strings.Contains(log, "draining worker "+srv.URL) {
@@ -200,7 +207,7 @@ func TestAddRemote(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(reg.Snapshot()); n != 0 {
+		if n := members(reg); n != 0 {
 			t.Errorf("closed listener registered (%d members)", n)
 		}
 		if !strings.Contains(log, "unreachable worker "+srv.URL) {
@@ -223,7 +230,7 @@ func TestAddRemote(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, want)
 			}
 		}
-		if n := len(reg.Snapshot()); n != 0 {
+		if n := members(reg); n != 0 {
 			t.Errorf("stale list registered %d members, want 0", n)
 		}
 	})

@@ -1,10 +1,8 @@
-// Package dist shards harness job batches across machines. One
-// Scheduler partitions batches into shards and dispatches them over
-// HTTP/JSON to Worker daemons (cmd/vbiworker), each of which wraps an
-// ordinary local harness.Runner (own worker pool, own optional result
-// cache). A Coordinator implements harness.Executor by submitting one
-// batch to a Scheduler and waiting; the sweep daemon (internal/sweepd)
-// runs the same Scheduler for its lifetime, one batch per sweep.
+// Package dist shards harness job batches across machines. A
+// Coordinator implements harness.Executor: each Run partitions its batch
+// into shards and dispatches them over HTTP/JSON to Worker daemons
+// (cmd/vbiworker), each of which wraps an ordinary local harness.Runner
+// (own worker pool, own optional result cache).
 //
 // The design goal is the same determinism contract the local pool gives:
 // a distributed run is byte-identical to a serial local run. Two
@@ -37,8 +35,8 @@ import (
 
 // VersionLine is the canonical `-version` output every cmd/ binary
 // prints: the wire protocol this build speaks and the harness schema
-// its caches and journals are keyed under. One helper so the seven
-// binaries cannot drift in format.
+// its caches are keyed under. One helper so the six binaries cannot
+// drift in format.
 func VersionLine(tool string) string {
 	return fmt.Sprintf("%s %s (harness %s)", tool, ProtocolVersion, harness.Version)
 }
@@ -62,7 +60,7 @@ const ProtocolVersion = harness.Version + "+wire5"
 
 // URL paths of the fleet protocol. PathHealthz and PathRun are served by
 // workers; PathRegister and PathLeave are served by the coordinator's
-// fleet listener (vbisweep -fleet, vbisweepd). When a shared auth token
+// fleet listener (vbisweep -fleet, vbibench -fleet). When a shared auth token
 // is configured, every route on a gated server requires it
 // (Authorization: Bearer <token>).
 const (

@@ -13,26 +13,22 @@ import (
 	"time"
 )
 
-// Member is one fleet worker as the coordinator sees it. It rides inside
-// MemberInfo on the /status plane, so the json tags pin the historical
-// (untagged) field names.
-//
-//vbi:wire
+// Member is one fleet worker as the coordinator sees it.
 type Member struct {
 	// ID is the normalized base URL; it doubles as the registry key, so a
 	// worker re-registering the same address is an upsert, not a duplicate.
-	ID string `json:"ID"`
+	ID string
 	// Base is the URL shards are POSTed to (same as ID).
-	Base string `json:"Base"`
+	Base string
 	// Weight is the worker's advertised pool width: shards pulled per round.
-	Weight int `json:"Weight"`
+	Weight int
 	// Static marks a pre-registered -remote endpoint: it sends no
 	// heartbeats and is never TTL-evicted, only removed when it fails.
-	Static bool `json:"Static"`
+	Static bool
 	// Instance identifies one worker process lifetime. A re-register with a
 	// different instance is a restart (and clears any failure quarantine); a
 	// re-register with the same instance is a heartbeat.
-	Instance string `json:"Instance"`
+	Instance string
 }
 
 // Registry is the coordinator-side worker-fleet membership table. Dynamic
@@ -232,39 +228,6 @@ func (r *Registry) Leave(base string) {
 	}
 }
 
-// MemberInfo is one member plus the observability fields the status plane
-// reports alongside it.
-//
-//vbi:wire
-type MemberInfo struct {
-	Member
-	// LastSeen is the time of the member's most recent heartbeat (or
-	// pre-registration, for static members).
-	LastSeen time.Time `json:"last_seen"`
-	// Quarantined reports a member currently banned after request
-	// failures: registered but not schedulable.
-	Quarantined bool `json:"quarantined,omitempty"`
-}
-
-// Snapshot returns every registered member — including quarantined ones,
-// which Live hides — sorted by ID, for status/metrics reporting. It does
-// not evict; only Live has scheduling side effects.
-func (r *Registry) Snapshot() []MemberInfo {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]MemberInfo, 0, len(r.members))
-	for _, e := range r.members {
-		out = append(out, MemberInfo{
-			Member:      e.Member,
-			LastSeen:    e.lastSeen,
-			Quarantined: now.Before(e.bannedUntil),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // WeightOf returns a member's current advertised weight, or def when the
 // member is no longer registered. Dispatch loops re-read it each round so
 // a worker that re-registers with a different pool width (a restart on a
@@ -308,29 +271,20 @@ func (r *Registry) Live() []Member {
 	return out
 }
 
-// Handler returns the fleet routes (Mount) on a fresh mux behind the
+// Handler returns the fleet routes (PathRegister, PathLeave) behind the
 // AuthToken gate, and marks the registry dynamic. Serve it on the
 // coordinator's fleet listener (vbisweep -fleet / vbibench -fleet). A
-// registration carrying a different
-// ProtocolVersion is refused with 412 so a stale worker binary fails
-// loudly at join time instead of poisoning a sweep.
+// registration carrying a different ProtocolVersion is refused with 412
+// so a stale worker binary fails loudly at join time instead of
+// poisoning a sweep.
 func (r *Registry) Handler() http.Handler {
-	mux := http.NewServeMux()
-	r.Mount(mux)
-	return RequireAuth(r.AuthToken, mux)
-}
-
-// Mount registers the fleet routes on an existing mux (and marks the
-// registry dynamic), for servers that serve more than the fleet protocol
-// on one listener — the sweep daemon mounts its API and the fleet plane
-// together. Auth is the caller's concern (the surrounding server gates
-// everything once).
-func (r *Registry) Mount(mux *http.ServeMux) {
 	r.mu.Lock()
 	r.dynamic = true
 	r.mu.Unlock()
+	mux := http.NewServeMux()
 	mux.HandleFunc(PathRegister, r.handleRegister)
 	mux.HandleFunc(PathLeave, r.handleLeave)
+	return RequireAuth(r.AuthToken, mux)
 }
 
 func (r *Registry) handleRegister(rw http.ResponseWriter, req *http.Request) {

@@ -12,10 +12,9 @@ import (
 	"time"
 )
 
-// TLSOptions is the shared TLS/mTLS configuration of every dist and
-// sweepd endpoint: the coordinator's fleet listener, the worker's shard
-// server, the sweep daemon's API plane, and all of their clients. One
-// flag triple covers both roles:
+// TLSOptions is the shared TLS/mTLS configuration of every dist
+// endpoint: the coordinator's fleet listener, the worker's shard server,
+// and their clients. One flag triple covers both roles:
 //
 //   - -tls-cert/-tls-key: this process's own certificate. A server with a
 //     certificate serves HTTPS instead of HTTP; a client with one presents
@@ -161,7 +160,7 @@ func ApplyScheme(endpoints []string, scheme string) []string {
 }
 
 // Serve starts an HTTP or HTTPS server (per tlsCfg) on addr and returns
-// it with its bound listener address. Every dist/sweepd listener goes
+// it with its bound listener address. Every dist listener goes
 // through here so TLS cannot be wired on one plane and forgotten on
 // another.
 func Serve(addr string, handler http.Handler, tlsCfg *tls.Config) (*http.Server, string, error) {

@@ -3,7 +3,7 @@
 //
 // The contract they machine-check is the one every layer of this repo is
 // built on: identical jobs produce byte-identical results everywhere —
-// serial, parallel, distributed, daemon-resumed — and the simulated
+// serial, parallel, distributed, cache-resumed — and the simulated
 // machine is deterministic in its inputs alone.
 package lint
 

@@ -11,12 +11,12 @@ import (
 	"vbi/internal/lint/analysis"
 )
 
-// WireTags checks structs marked `//vbi:wire` — the dist/sweepd wire
-// protocols, the canonical job JSON and the pinned export formats. Every
-// exported, non-embedded field of a wire struct, and of every module
-// struct reachable through its fields, must carry an explicit `json` tag:
-// an untagged field marshals under its Go name, so a routine rename would
-// silently change cache keys, wire shape or on-disk journals.
+// WireTags checks structs marked `//vbi:wire` — the dist wire protocol,
+// the canonical job JSON, cache entries and the pinned export formats.
+// Every exported, non-embedded field of a wire struct, and of every
+// module struct reachable through its fields, must carry an explicit
+// `json` tag: an untagged field marshals under its Go name, so a routine
+// rename would silently change cache keys, wire shape or cached results.
 //
 // Types with a custom MarshalJSON are exempt (their wire form does not
 // come from field tags), as are types outside this module.

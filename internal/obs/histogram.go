@@ -33,7 +33,7 @@ func NewHistogram(bounds ...float64) *Histogram {
 
 // LatencyBuckets is the shared bucket layout for job and shard
 // latencies, in seconds: 1ms to 2m, roughly ×2.5 per step. One layout
-// everywhere keeps worker and daemon histograms comparable and is the
+// everywhere keeps every latency histogram comparable and is the
 // layout DESIGN.md §8 documents.
 func LatencyBuckets() []float64 {
 	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120}

@@ -10,8 +10,8 @@ import (
 
 // LogOptions is the shared structured-logging configuration every
 // daemon and CLI exposes as -log-format/-log-level, so "how do I get
-// JSON logs" has exactly one answer across vbiworker, vbisweepd and the
-// coordinator front-ends.
+// JSON logs" has exactly one answer across vbiworker and the coordinator
+// front-ends.
 type LogOptions struct {
 	// Format selects the slog handler: "text" (the default, human
 	// key=value lines) or "json" (one JSON object per record, what the

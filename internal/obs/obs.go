@@ -14,7 +14,7 @@
 // watching.
 //
 // The trace-ID chain is "<root>/<shard-seq>": the root names one
-// coordinator run (or one daemon lifetime), minted with NewTraceID;
+// coordinator run, minted with NewTraceID;
 // each dispatched shard appends its sequence number with ChildID. The
 // chain travels coordinator→worker in the TraceHeader HTTP header and
 // appears as the "trace" attribute in both sides' structured logs, so

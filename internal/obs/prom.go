@@ -11,9 +11,8 @@ import (
 // because the format is trivial and a client library is a dependency
 // this repo does not take. Rendering is deterministic — callers pass
 // samples in sorted order, so two scrapes of the same state are
-// byte-identical and diffable. Both the worker's
-// /metrics and sweepd's use it, so the exposition style cannot drift
-// between daemons.
+// byte-identical and diffable. The worker's /metrics is its one
+// writer.
 
 // Label is one name="value" pair on a sample.
 type Label struct {

@@ -51,8 +51,8 @@ func WeightedSpeedup(shared, alone []float64) float64 {
 
 // Series is one plotted line/bar group: a label and one value per row.
 // The json tags pin the export format to the historical field names: the
-// table document is compared byte-for-byte across runs (and served by
-// vbisweepd), so a field rename must never change it.
+// table document is compared byte-for-byte across runs, so a field
+// rename must never change it.
 //
 //vbi:wire
 type Series struct {
@@ -61,9 +61,9 @@ type Series struct {
 }
 
 // Table is a rendered experiment result: row labels (the x-axis) plus one
-// or more series. Its JSON form is the `vbisweep -json` export format and
-// the payload of vbisweepd's stored result tables, byte-compared against
-// local runs — hence the pinned tags.
+// or more series. Its JSON form is the `vbisweep -json` export format,
+// byte-compared between distributed and local runs — hence the pinned
+// tags.
 //
 //vbi:wire
 type Table struct {

@@ -6,8 +6,8 @@ import (
 )
 
 // TestTableJSONPinned byte-pins the Table/Series export format: it is the
-// `vbisweep -json` document and the stored result table vbisweepd serves,
-// byte-compared against local runs. A break here means a field rename
+// `vbisweep -json` document, byte-compared between distributed and local
+// runs. A break here means a field rename
 // changed the export format — revert the rename rather than updating the
 // expectation.
 func TestTableJSONPinned(t *testing.T) {

@@ -7,8 +7,7 @@ import "vbi/internal/obs"
 // Every system family exports its own Extra keys (conventional systems
 // count TLB misses and walks, VBI systems MTL/CVT activity, Enigma CTC
 // misses); this is the one place those vocabularies meet, so the
-// harness, the worker /metrics and the sweep daemon all attribute time
-// the same way:
+// harness and the worker /metrics attribute time the same way:
 //
 //	tlb   first-level translation-cache misses
 //	      (tlb.misses, mtl.tlb.misses, ctc.misses)
