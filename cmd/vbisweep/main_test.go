@@ -56,10 +56,9 @@ func TestOutputGolden(t *testing.T) {
 	}
 }
 
-// TestDaemonFlagUnknown asserts the sweep-daemon client flags are gone: a
-// command line that names one is a flag error (main exits 2), not a
-// silently ignored option. Resuming a sweep is a re-run with the same
-// -cache.
+// TestDaemonFlagUnknown asserts vbisweep has no sweep-daemon client
+// flags: a command line that names one is a flag error (main exits 2).
+// Resuming a sweep is a re-run with the same -cache.
 func TestDaemonFlagUnknown(t *testing.T) {
 	for _, name := range []string{"-daemon", "-submit", "-watch", "-cancel", "-name"} {
 		var stderr bytes.Buffer

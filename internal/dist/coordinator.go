@@ -25,18 +25,19 @@ import (
 // The fleet can be static, dynamic, or both. Endpoints lists workers
 // known up front (the -remote flag); Run seeds them into the registry
 // through Registry.AddRemote, the one -remote path, after the cache
-// pre-pass, so a fully cached batch contacts no worker. Fleet, when non-nil, is a membership registry whose
-// /register endpoint the coordinator's front-end serves (-fleet): workers
-// join and leave while the sweep runs, a joiner immediately starts
-// pulling queued shards, and a worker that dies — detected by request
-// failure or missed heartbeats — has its in-flight shards requeued for
-// the survivors.
+// pre-pass, so a fully cached batch contacts no worker. Fleet, when
+// non-nil, is a membership registry whose /register endpoint the
+// coordinator's front-end serves (-fleet): workers join and leave while
+// the sweep runs, a joiner immediately starts pulling queued shards, and
+// a worker that dies — detected by request failure or missed heartbeats
+// — has its in-flight shards requeued for the survivors.
 //
 // Each Run dispatches its batch through one scheduler: the batch is cut
 // into fixed-size shards of job indices, and each live member repeatedly
 // pulls up to its advertised worker count of shards per request, so
-// faster and wider workers naturally take more of the batch. A member that fails Retries consecutive times is dropped
-// (and, for dynamic members, quarantined in the registry). Results merge
+// faster and wider workers naturally take more of the batch. A member
+// that fails Retries consecutive times is dropped (and, for dynamic
+// members, quarantined in the registry). Results merge
 // positionally and completed shards stream into Cache as they arrive, so
 // the output is byte-identical to a serial local run regardless of
 // membership history, and an aborted sweep resumes incrementally:
@@ -76,10 +77,9 @@ type Coordinator struct {
 	Progress io.Writer
 	// Logger, when non-nil, receives structured shard-lifecycle records
 	// (dispatch, completion, failure). Each Run mints a root trace ID and
-	// numbers its shards ("<root>/<seq>"); the chain
-	// is sent to workers in the obs.TraceHeader header and attached to
-	// every record here, so one grep follows a shard through both
-	// processes' logs.
+	// numbers its shards ("<root>/<seq>"); the chain is sent to workers
+	// in the obs.TraceHeader header and attached to every record here,
+	// so one grep follows a shard through both processes' logs.
 	Logger *slog.Logger
 	// Client, when non-nil, overrides the HTTP client (tests).
 	Client *http.Client

@@ -56,9 +56,8 @@ func TestCacheCorruptEntryMisses(t *testing.T) {
 }
 
 // TestCacheResultCountMismatchMisses asserts an entry that matches its
-// job but does not hold one result per workload reads as a miss. An
-// emptied "results" array used to be served as a hit, and the matrix
-// printed 0.000 for its cell.
+// job but does not hold one result per workload reads as a miss: served
+// as a hit, an emptied "results" array prints 0.000 in the matrix.
 func TestCacheResultCountMismatchMisses(t *testing.T) {
 	c, path := cacheWithEntry(t, cacheJob)
 	b, err := os.ReadFile(path)
