@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,36 +35,63 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var fe flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &fe):
+		// The flag set has already printed the error and the usage.
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "vbibench:", err)
+		os.Exit(1)
+	}
+}
+
+// flagError is a malformed command line; main exits 2 for it, as
+// flag.Parse would.
+type flagError struct{ error }
+
+// run parses args, runs the experiments they name and writes their tables
+// to stdout (and -out); progress and fleet lines go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vbibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	params := harness.ParamAxes{}
 	tlsOpts := &dist.TLSOptions{}
 	fleetOpts := &dist.FleetOptions{}
 	var (
-		profile = flag.String("profile", "", `capture pprof profiles of this process: "cpu,heap,out=DIR" (either profile kind, comma-separated; out= names the directory)`)
-		version = flag.Bool("version", false, "print protocol and harness versions, then exit")
+		profile = fs.String("profile", "", `capture pprof profiles of this process: "cpu,heap,out=DIR" (either profile kind, comma-separated; out= names the directory)`)
+		version = fs.Bool("version", false, "print protocol and harness versions, then exit")
 	)
 	var (
-		which   = flag.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
-		refs    = flag.Int("refs", 400_000, "measured references per run")
-		seed    = flag.Uint64("seed", 1, "trace seed")
-		out     = flag.String("out", "", "also write results to this file")
-		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cache   = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		jsonOut = flag.String("json", "", "write figure tables as JSON to this file")
-		csvOut  = flag.String("csv", "", "write figure tables as CSV to this file")
-		verbose = flag.Bool("v", false, "log every run")
+		which   = fs.String("exp", "all", "experiment: table1, table2, fig6, fig7, fig8, fig9, fig10, dram, ablation, cvt or all")
+		refs    = fs.Int("refs", 400_000, "measured references per run")
+		seed    = fs.Uint64("seed", 1, "trace seed")
+		out     = fs.String("out", "", "also write results to this file")
+		workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		cache   = fs.String("cache", "", "result-cache directory (empty = no cache)")
+		jsonOut = fs.String("json", "", "write figure tables as JSON to this file")
+		csvOut  = fs.String("csv", "", "write figure tables as CSV to this file")
+		verbose = fs.Bool("v", false, "log every run")
 	)
-	flag.Var(params, "param", "parameter override name=value applied to every run (repeatable; see vbisweep -list)")
-	tlsOpts.Flags(flag.CommandLine)
-	fleetOpts.Flags(flag.CommandLine)
-	flag.Parse()
+	fs.Var(params, "param", "parameter override name=value applied to every run (repeatable; see vbisweep -list)")
+	tlsOpts.Flags(fs)
+	fleetOpts.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
 	if *version {
-		fmt.Println(dist.VersionLine("vbibench"))
-		return
+		fmt.Fprintln(stdout, dist.VersionLine("vbibench"))
+		return nil
 	}
 
 	overlay, err := params.Overlay()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// -profile wraps the whole invocation: CPU capture starts before the
@@ -71,22 +99,22 @@ func main() {
 	// run yields where simulation time and memory actually go.
 	profiles, err := obs.StartProfiles(*profile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := profiles.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "vbibench: profile:", err)
+		if perr := profiles.Stop(); perr != nil {
+			fmt.Fprintln(stderr, "vbibench: profile:", perr)
 		}
 	}()
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 	// Exports accumulate across figures: -json writes one document (an
 	// array of {experiment, table} objects), -csv one file per figure
@@ -112,7 +140,7 @@ func main() {
 	o := exp.Options{Refs: *refs, Seed: *seed, Workers: *workers, CacheDir: *cache,
 		Params: overlay, Context: ctx}
 	if *verbose {
-		o.Progress = os.Stderr
+		o.Progress = stderr
 	}
 
 	local := &harness.Runner{Workers: *workers, Progress: o.Progress}
@@ -121,7 +149,7 @@ func main() {
 	}
 	coord, closeFleet, err := fleetOpts.Coordinator("vbibench", tlsOpts, local, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer closeFleet()
 	o.Executor = coord
@@ -134,7 +162,7 @@ func main() {
 	order := []string{"table1", "table2", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "dram", "ablation", "cvt"}
 
-	run := func(name string) {
+	runExp := func(name string) error {
 		start := time.Now()
 		switch name {
 		case "table1":
@@ -144,44 +172,48 @@ func main() {
 		default:
 			fn, ok := figures[name]
 			if !ok {
-				fatal(fmt.Errorf("unknown experiment %q (want %s or all)",
-					name, strings.Join(order, ", ")))
+				return fmt.Errorf("unknown experiment %q (want %s or all)",
+					name, strings.Join(order, ", "))
 			}
 			t, err := fn(o)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			fmt.Fprintln(w, t.Render())
 			fmt.Fprintf(w, "(%s completed in %v)\n\n", name, time.Since(start).Round(time.Second))
 			exported = append(exported, namedTable{Experiment: name, Table: t})
 		}
+		return nil
 	}
 
+	names := []string{*which}
 	if *which == "all" {
-		for _, name := range order {
-			run(name)
+		names = order
+	}
+	for _, name := range names {
+		if err := runExp(name); err != nil {
+			return err
 		}
-	} else {
-		run(*which)
 	}
 
 	if *jsonOut != "" {
 		f, err := os.Create(*jsonOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", " ")
 		if err := enc.Encode(exported); err != nil {
-			fatal(fmt.Errorf("json export: %w", err))
+			f.Close()
+			return fmt.Errorf("json export: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *csvOut != "" {
 		if len(exported) == 0 {
-			fmt.Fprintf(os.Stderr, "vbibench: no figure tables ran; %s not written\n", *csvOut)
+			fmt.Fprintf(stderr, "vbibench: no figure tables ran; %s not written\n", *csvOut)
 		}
 		for _, nt := range exported {
 			path := *csvOut
@@ -191,19 +223,16 @@ func main() {
 			}
 			f, err := os.Create(path)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			if err := nt.Table.WriteCSV(f); err != nil {
-				fatal(fmt.Errorf("%s: csv export: %w", nt.Experiment, err))
+				f.Close()
+				return fmt.Errorf("%s: csv export: %w", nt.Experiment, err)
 			}
 			if err := f.Close(); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vbibench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -139,6 +139,61 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestDuplicateEndpointOneMember names one worker twice in the -remote
+// list, once as host:port and once as its http:// base URL. The two
+// spellings are one member: the run reports one worker, its /run
+// requests never overlap (one serve loop at weight 1), and the results
+// match the serial local run.
+func TestDuplicateEndpointOneMember(t *testing.T) {
+	jobs := testJobs(t)
+	want := localResults(t, jobs)
+
+	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
+	var inFlight atomic.Int64
+	var overlapped atomic.Bool
+	second := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathRun {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			if n > 1 {
+				overlapped.Store(true)
+				select {
+				case second <- struct{}{}:
+				default:
+				}
+			} else {
+				// Hold the first request long enough for a second serve
+				// loop, if there were one, to send its own.
+				select {
+				case <-second:
+				case <-time.After(300 * time.Millisecond):
+				}
+			}
+		}
+		inner.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(srv.Close)
+
+	var progress bytes.Buffer
+	coord := &Coordinator{
+		Endpoints: []string{strings.TrimPrefix(srv.URL, "http://"), srv.URL},
+		ShardSize: 1,
+		Progress:  &progress,
+	}
+	got, err := coord.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchLocal(t, got, want)
+	if !strings.Contains(progress.String(), "across 1 workers") {
+		t.Errorf("progress does not report one worker:\n%s", progress.String())
+	}
+	if overlapped.Load() {
+		t.Error("worker saw concurrent /run requests; want one serve loop at weight 1")
+	}
+}
+
 // TestWorkerDeathRequeues kills one of two workers after its first shard:
 // its remaining shards must requeue onto the survivor and the run must
 // still match the serial local results.
