@@ -318,7 +318,7 @@ func Probe(ctx context.Context, client *http.Client, base, token string) (Hello,
 		return Hello{}, fmt.Errorf("healthz: %s", resp.Status)
 	}
 	var h Hello
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := readJSON(resp.Body, &h); err != nil {
 		return Hello{}, fmt.Errorf("healthz: %w", err)
 	}
 	return h, nil
@@ -365,7 +365,7 @@ func ExecuteShard(ctx context.Context, client *http.Client, m Member, token stri
 		return RunResponse{}, nil, fmt.Errorf("run: %s: %s", resp.Status, eb.Error)
 	}
 	var rr RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+	if err := readJSON(resp.Body, &rr); err != nil {
 		return RunResponse{}, nil, fmt.Errorf("run: decode: %w", err)
 	}
 	if len(rr.Results) != len(batch) {

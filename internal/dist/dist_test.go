@@ -557,3 +557,56 @@ func TestMalformedReplyRetried(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingDataRejected asserts each dist wire document is read whole:
+// a valid document followed by anything but whitespace is malformed. A
+// /run reply with trailing bytes is a retryable failure, a /healthz reply
+// with them fails the probe, and a /run request with them gets 400. The
+// newline writeJSON ends every document with is accepted.
+func TestTrailingDataRejected(t *testing.T) {
+	jobs := testJobs(t)[:1]
+	reply := RunResponse{Results: []JobResult{{Results: make([]system.RunResult, len(jobs[0].Workloads))}}}
+	hello := Hello{Service: "vbiworker", Version: ProtocolVersion, Workers: 1}
+	var tail atomic.Value
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		var v any = reply
+		if req.URL.Path == PathHealthz {
+			v = hello
+		}
+		writeJSON(rw, http.StatusOK, v)
+		io.WriteString(rw, tail.Load().(string))
+	}))
+	t.Cleanup(srv.Close)
+	m := Member{ID: srv.URL, Base: srv.URL}
+
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {" \n\t", true}, {"}{ garbage", false}, {"{}", false}, {"null", false}} {
+		tail.Store(c.tail)
+		_, fatal, err := ExecuteShard(context.Background(), http.DefaultClient, m, "", time.Minute, jobs, "")
+		if fatal != nil {
+			t.Errorf("/run reply + %q: fatal error %v", c.tail, fatal)
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("/run reply + %q: err = %v, want accepted = %v", c.tail, err, c.ok)
+		}
+		if _, err := Probe(context.Background(), http.DefaultClient, srv.URL, ""); (err == nil) != c.ok {
+			t.Errorf("/healthz reply + %q: err = %v, want accepted = %v", c.tail, err, c.ok)
+		}
+	}
+
+	worker := newWorkerServer(t, 1)
+	body, err := json.Marshal(RunRequest{Version: ProtocolVersion, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(worker.URL+PathRun, "application/json", strings.NewReader(string(body)+"}{ garbage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/run request with trailing data: status %s, want 400", resp.Status)
+	}
+}

@@ -26,7 +26,9 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"vbi/internal/harness"
 	"vbi/internal/obs"
@@ -162,4 +164,16 @@ type RegisterResponse struct {
 //vbi:wire
 type errorBody struct {
 	Error string `json:"error"`
+}
+
+// readJSON reads r to its end and decodes it as one JSON document into v.
+// Unlike json.Decoder.Decode, it rejects anything but whitespace after
+// the document, so a body with trailing bytes is malformed instead of
+// read up to its first value.
+func readJSON(r io.Reader, v any) error {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }

@@ -143,7 +143,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var rr RunRequest
-	if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
+	if err := readJSON(req.Body, &rr); err != nil {
 		writeJSON(rw, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
