@@ -10,7 +10,6 @@
 //	vbibench -exp fig6 -json fig6.json -csv fig6.csv
 //	vbibench -exp fig6 -param l2_tlb_entries=1024   # figures under altered hardware
 //	vbibench -exp all -remote 10.0.0.7:9471,10.0.0.8:9471 -cache .vbicache
-//	vbibench -exp all -fleet :9600 -auth-token secret -cache .vbicache
 package main
 
 import (
@@ -147,11 +146,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *cache != "" {
 		local.Cache = &harness.Cache{Dir: *cache}
 	}
-	coord, closeFleet, err := fleetOpts.Coordinator("vbibench", tlsOpts, local, nil)
+	coord, err := fleetOpts.Coordinator(tlsOpts, local, nil)
 	if err != nil {
 		return err
 	}
-	defer closeFleet()
 	o.Executor = coord
 
 	figures := map[string]func(exp.Options) (*stats.Table, error){

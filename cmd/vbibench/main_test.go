@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -49,5 +51,20 @@ func TestOutputGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%v: output differs from %s\ngot:\n%s\nwant:\n%s", c.args, path, got, want)
 		}
+	}
+}
+
+// TestFleetFlagUnknown asserts vbibench has no dynamic-fleet listener:
+// -fleet is a flag error (main exits 2), and the -remote list is the
+// whole fleet.
+func TestFleetFlagUnknown(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run([]string{"-fleet", "x"}, io.Discard, &stderr)
+	var fe flagError
+	if !errors.As(err, &fe) {
+		t.Errorf("err = %v, want a flag error", err)
+	}
+	if want := "flag provided but not defined: -fleet"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not contain %q", stderr.String(), want)
 	}
 }

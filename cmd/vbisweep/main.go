@@ -14,7 +14,7 @@
 //	vbisweep -hetero PCM-DRAM -policies Unaware,VBI -workloads sphinx3 -param hetero_epoch_refs=10000,25000
 //	vbisweep -config grid.json -workers 8 -cache .vbicache -csv out.csv -json out.json
 //	vbisweep -config grid.json -remote 10.0.0.7:9471,10.0.0.8:9471 -cache .vbicache
-//	vbisweep -config grid.json -fleet :9600 -auth-token secret -cache .vbicache
+//	vbisweep -config grid.json -remote 10.0.0.7:9471 -auth-token secret -cache .vbicache
 //	vbisweep -cache .vbicache -cache-stats
 //	vbisweep -list
 //
@@ -29,15 +29,15 @@
 // -remote shards the expanded job batch across vbiworker daemons
 // (internal/dist): results merge positionally and every completed shard
 // lands in -cache, so the matrix is byte-identical to a local run and an
-// interrupted sweep resumes incrementally. -fleet instead (or as well)
-// listens for workers: vbiworker -join daemons register and heartbeat
-// there, may join mid-sweep, and are evicted (their shards requeued) when
-// their heartbeats stop. -auth-token (or $VBI_AUTH_TOKEN) authenticates
-// both directions, and the -tls-cert/-tls-key/-tls-ca flags wrap every
-// route in TLS (mTLS when -tls-ca is given; see DESIGN.md §5). To resume
-// a sweep that was interrupted or killed, re-run it with the same -cache:
-// every job that finished is served from the cache and only the rest
-// run. -cache-stats and -cache-prune inspect and clean the cache
+// interrupted sweep resumes incrementally. The list is the whole fleet:
+// every endpoint that passes the version handshake serves the sweep, a
+// worker that fails is dropped (its shards requeued), and nothing joins
+// mid-sweep. -auth-token (or $VBI_AUTH_TOKEN) is sent to every worker,
+// and the -tls-cert/-tls-key/-tls-ca flags dial them over TLS (mTLS when
+// the workers demand it; see DESIGN.md §5). To resume a sweep that was
+// interrupted or killed, re-run it with the same -cache: every job that
+// finished is served from the cache and only the rest run, on whichever
+// workers the -remote list names then. -cache-stats and -cache-prune inspect and clean the cache
 // directory without running anything.
 //
 // -param may repeat; each occurrence adds one axis and the grid expands
@@ -58,7 +58,7 @@
 //
 // Expanded jobs are self-describing (they carry their resolved system
 // spec), so a -config sweep defining variant specs runs unchanged on a
-// -remote/-fleet worker fleet: the workers never need the definitions.
+// -remote worker fleet: the workers never need the definitions.
 package main
 
 import (
@@ -245,11 +245,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *verbose {
 		runner.Progress = stderr
 	}
-	exec, closeFleet, err := fleetOpts.Coordinator("vbisweep", tlsOpts, runner, logger)
+	exec, err := fleetOpts.Coordinator(tlsOpts, runner, logger)
 	if err != nil {
 		return err
 	}
-	defer closeFleet()
 	// Ctrl-C stops feeding the pool: in-flight jobs finish and cached
 	// results stay, so the next invocation resumes from there. Once
 	// cancelled the handler unregisters, so a second Ctrl-C kills the

@@ -57,10 +57,11 @@ func TestOutputGolden(t *testing.T) {
 }
 
 // TestDaemonFlagUnknown asserts vbisweep has no sweep-daemon client
-// flags: a command line that names one is a flag error (main exits 2).
-// Resuming a sweep is a re-run with the same -cache.
+// flags and no dynamic-fleet listener: a command line that names one is
+// a flag error (main exits 2). Resuming a sweep is a re-run with the
+// same -cache, and the -remote list is the whole fleet.
 func TestDaemonFlagUnknown(t *testing.T) {
-	for _, name := range []string{"-daemon", "-submit", "-watch", "-cancel", "-name"} {
+	for _, name := range []string{"-daemon", "-submit", "-watch", "-cancel", "-name", "-fleet"} {
 		var stderr bytes.Buffer
 		err := run([]string{name, "x"}, io.Discard, &stderr)
 		var fe flagError

@@ -1,6 +1,5 @@
 // Command vbiworker serves harness job batches to a remote coordinator
-// (vbisweep -remote / -fleet, vbibench -remote / -fleet). It
-// wraps the ordinary local worker pool in the internal/dist HTTP
+// (vbisweep -remote, vbibench -remote). It wraps the ordinary local worker pool in the internal/dist HTTP
 // protocol: POST /run takes a batch of canonical job specs and returns
 // positional results; GET /healthz advertises the binary's harness
 // version and pool width (the coordinator's shard-planning weight). A
@@ -8,18 +7,15 @@
 // shard, so a stale binary can never contribute results from a different
 // timing model.
 //
-// With -join the worker also registers itself against a coordinator's
-// fleet listener and heartbeats there, so it can join a sweep already in
-// flight and rejoin after a restart; without -join it only serves the
-// static -remote path. -auth-token (or $VBI_AUTH_TOKEN) gates the
-// worker's own endpoints and authenticates its registrations; the
-// -tls-cert/-tls-key/-tls-ca flags serve the endpoints over TLS (mTLS
-// when -tls-ca is given) and secure the -join heartbeats.
+// A coordinator's fleet is its -remote list, probed when a sweep starts,
+// so a worker serves the sweeps whose lists name it; it never contacts a
+// coordinator itself. -auth-token (or $VBI_AUTH_TOKEN) gates the worker's
+// endpoints; the -tls-cert/-tls-key/-tls-ca flags serve them over TLS
+// (mTLS when -tls-ca is given).
 //
 // Shutdown is a graceful drain: the first SIGTERM/SIGINT flips the worker
 // to draining (the handshake advertises it, new shards get 503 and are
-// requeued elsewhere), deregisters it from the -join fleet immediately
-// (no TTL wait), and then waits for in-flight shards to finish and
+// requeued elsewhere) and then waits for in-flight shards to finish and
 // report. A second signal force-quits, abandoning in-flight work to the
 // coordinator's requeue.
 //
@@ -27,8 +23,8 @@
 //
 //	vbiworker -addr :9471
 //	vbiworker -addr 10.0.0.7:9471 -workers 16 -cache /var/tmp/vbicache -v
-//	vbiworker -addr :9471 -join 10.0.0.1:9600 -auth-token secret
-//	vbiworker -addr :9471 -join 10.0.0.1:9600 -tls-cert w.pem -tls-key w.key -tls-ca fleet-ca.pem
+//	vbiworker -addr :9471 -auth-token secret
+//	vbiworker -addr :9471 -tls-cert w.pem -tls-key w.key -tls-ca fleet-ca.pem
 package main
 
 import (
@@ -53,9 +49,7 @@ func main() {
 		addr      = flag.String("addr", ":9471", "listen address")
 		workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir  = flag.String("cache", "", "result-cache directory (empty = no cache)")
-		join      = flag.String("join", "", "coordinator fleet address (vbisweep -fleet / vbibench -fleet) to register with and heartbeat")
-		advertise = flag.String("advertise", "", "address advertised on -join for shard requests (default -addr; an empty host is filled in by the coordinator)")
-		authToken = flag.String("auth-token", "", "shared fleet token gating this worker's endpoints and sent on -join (default $"+dist.AuthEnv+")")
+		authToken = flag.String("auth-token", "", "shared fleet token gating this worker's endpoints (default $"+dist.AuthEnv+")")
 		drainWait = flag.Duration("drain-timeout", 15*time.Minute, "how long a drain waits for in-flight shards before force-quitting")
 		verbose   = flag.Bool("v", false, "also log every individual run (shard activity is always logged)")
 		pprof     = flag.Bool("pprof", false, "serve /debug/pprof/ on the worker's (auth-gated) listener for live profiling")
@@ -93,55 +87,16 @@ func main() {
 
 	srv := &http.Server{Addr: *addr, Handler: w.Handler(), TLSConfig: tlsCfg}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var joiner *dist.Joiner
-	if *join != "" {
-		adv := *advertise
-		if adv == "" {
-			adv = *addr
-		}
-		joiner = &dist.Joiner{
-			Coordinator: dist.ApplyScheme([]string{*join}, tlsOpts.Scheme())[0],
-			// A TLS worker must be dialed back over https; bake the scheme
-			// into the advertised address.
-			Advertise: dist.ApplyScheme([]string{adv}, tlsOpts.Scheme())[0],
-			Workers:   w.PoolWidth(),
-			AuthToken: token,
-			Log:       os.Stderr,
-		}
-		if httpc, err := tlsOpts.Client(); err != nil {
-			fatal(err)
-		} else {
-			joiner.Client = httpc
-		}
-		go func() {
-			if err := joiner.Run(ctx); err != nil {
-				// A 401/412 rejection is operator error; surface it and die
-				// instead of serving a fleet that will never use us.
-				fmt.Fprintln(os.Stderr, "vbiworker:", err)
-				srv.Close()
-				os.Exit(1)
-			}
-		}()
-	}
-
 	// Graceful drain: first signal stops new work (503 + Draining in the
-	// handshake), leaves the fleet, and waits out in-flight shards so
-	// their results are reported (and cached) rather than re-simulated; a
-	// second signal — or the drain timeout — abandons them to the
-	// coordinator's requeue.
+	// handshake) and waits out in-flight shards so their results are
+	// reported (and cached) rather than re-simulated; a second signal — or
+	// the drain timeout — abandons them to the coordinator's requeue.
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
 		w.SetDraining(true)
 		fmt.Fprintln(os.Stderr, "vbiworker: draining: refusing new shards, finishing in-flight ones (signal again to force quit)")
-		if joiner != nil {
-			joiner.Leave(context.Background())
-		}
-		cancel() // stop the heartbeat loop
 		done := make(chan struct{})
 		go func() {
 			sctx, scancel := context.WithTimeout(context.Background(), *drainWait)

@@ -30,10 +30,8 @@ func setAuth(req *http.Request, token string) {
 }
 
 // RequireAuth wraps a handler with the shared-token gate: when token is
-// non-empty, every request without the exact bearer token gets 401. Both
-// sides of the protocol are gated — the worker's /healthz and /run, and
-// the coordinator's /register — so neither an unauthenticated coordinator
-// can hand shards to a fleet nor an unauthenticated host can join one.
+// non-empty, every request without the exact bearer token gets 401, so
+// an unauthenticated coordinator cannot hand a worker shards.
 func RequireAuth(token string, next http.Handler) http.Handler {
 	if token == "" {
 		return next
@@ -53,9 +51,8 @@ func RequireAuth(token string, next http.Handler) http.Handler {
 }
 
 // NonLoopbackBind reports whether a listen address accepts connections
-// from beyond the loopback interface. The CLIs use it to warn when a
-// worker or fleet listener is reachable from the network without an auth
-// token configured.
+// from beyond the loopback interface. vbiworker uses it to warn when it
+// is reachable from the network without an auth token or TLS configured.
 func NonLoopbackBind(addr string) bool {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -22,36 +21,26 @@ import (
 // endpoints. It implements harness.Executor, so every sweep front-end
 // that takes an executor can run distributed unchanged.
 //
-// The fleet can be static, dynamic, or both. Endpoints lists workers
-// known up front (the -remote flag); Run seeds them into the registry
-// through Registry.AddRemote, the one -remote path, after the cache
-// pre-pass, so a fully cached batch contacts no worker. Fleet, when
-// non-nil, is a membership registry whose /register endpoint the
-// coordinator's front-end serves (-fleet): workers join and leave while
-// the sweep runs, a joiner immediately starts pulling queued shards, and
-// a worker that dies — detected by request failure or missed heartbeats
-// — has its in-flight shards requeued for the survivors.
+// The fleet is the Endpoints list (the -remote flag): after the cache
+// pre-pass, so that a fully cached batch contacts no worker, Run probes
+// it with AddRemote, and the endpoints that pass the handshake are the
+// run's members. Nothing joins during a run. A worker that dies has its
+// in-flight shards requeued for the survivors, and a host that comes up
+// later serves the next run, which re-runs the same grid from Cache.
 //
 // Each Run dispatches its batch through one scheduler: the batch is cut
-// into fixed-size shards of job indices, and each live member repeatedly
+// into fixed-size shards of job indices, and each member repeatedly
 // pulls up to its advertised worker count of shards per request, so
 // faster and wider workers naturally take more of the batch. A member
-// that fails Retries consecutive times is dropped (and, for dynamic
-// members, quarantined in the registry). Results merge
+// that fails Retries consecutive times is dropped. Results merge
 // positionally and completed shards stream into Cache as they arrive, so
-// the output is byte-identical to a serial local run regardless of
-// membership history, and an aborted sweep resumes incrementally:
-// re-running it serves every finished job from the cache.
+// the output is byte-identical to a serial local run whichever workers
+// served it, and an aborted sweep resumes incrementally: re-running it
+// serves every finished job from the cache.
 type Coordinator struct {
-	// Endpoints lists workers as "host:port" (or full base URLs), known up
-	// front. With no Endpoints and no Fleet, the batch runs on Local (or a
-	// default runner).
+	// Endpoints lists the workers as "host:port" (or full base URLs).
+	// With no Endpoints, the batch runs on Local (or a default runner).
 	Endpoints []string
-	// Fleet, when non-nil, supplies dynamically joining workers. The
-	// front-end mounts Fleet.Handler() on a listener; the coordinator only
-	// reads membership. A sweep with a dynamic fleet and no live workers
-	// waits for a join instead of failing.
-	Fleet *Registry
 	// AuthToken, when non-empty, is sent (bearer) on every worker request.
 	// It must match the workers' configured token.
 	AuthToken string
@@ -59,7 +48,7 @@ type Coordinator struct {
 	// stores every remote result, giving distributed sweeps the same
 	// incremental re-run behavior as local ones.
 	Cache *harness.Cache
-	// Local runs the batch when no endpoints or fleet are configured.
+	// Local runs the batch when no endpoints are configured.
 	Local *harness.Runner
 	// ShardSize is the number of jobs per shard, the requeue granularity
 	// (<=0 = 4).
@@ -70,9 +59,6 @@ type Coordinator struct {
 	// Retries is how many consecutive failures drop an endpoint (<=0 =
 	// default 2; 1 = drop on the first failure).
 	Retries int
-	// PollInterval is the membership-churn poll cadence: how often the
-	// scheduler looks for joined, evicted or failed members (<=0 = 250ms).
-	PollInterval time.Duration
 	// Progress, when non-nil, receives shard-level progress lines.
 	Progress io.Writer
 	// Logger, when non-nil, receives structured shard-lifecycle records
@@ -133,13 +119,6 @@ func (c *Coordinator) retries() int {
 	return c.Retries
 }
 
-func (c *Coordinator) pollInterval() time.Duration {
-	if c.PollInterval <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.PollInterval
-}
-
 // SplitEndpoints parses a comma-separated -remote flag value into an
 // endpoint list, dropping empty entries.
 func SplitEndpoints(s string) []string {
@@ -152,61 +131,40 @@ func SplitEndpoints(s string) []string {
 	return out
 }
 
-// FleetOptions is the -remote/-fleet/-auth-token configuration of the
-// one-shot coordinator front-ends (vbisweep, vbibench): one place that
-// declares the flags and turns them into a Coordinator.
+// FleetOptions is the -remote/-auth-token configuration of the one-shot
+// coordinator front-ends (vbisweep, vbibench): one place that declares
+// the flags and turns them into a Coordinator.
 type FleetOptions struct {
-	// Remote is the comma-separated static endpoint list.
+	// Remote is the comma-separated endpoint list.
 	Remote string
-	// Listen is the dynamic-fleet registration address.
-	Listen string
 	// AuthToken is the shared fleet token; empty falls back to
 	// $VBI_AUTH_TOKEN (ResolveToken).
 	AuthToken string
 }
 
-// Flags registers -remote, -fleet and -auth-token on fs.
+// Flags registers -remote and -auth-token on fs.
 func (o *FleetOptions) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Remote, "remote", "", "comma-separated vbiworker endpoints host:port; shards every batch across them (empty = local pool)")
-	fs.StringVar(&o.Listen, "fleet", "", "listen address for dynamic worker registration (vbiworker -join); may combine with -remote")
-	fs.StringVar(&o.AuthToken, "auth-token", "", "shared fleet token for -remote/-fleet (default $"+AuthEnv+")")
+	fs.StringVar(&o.AuthToken, "auth-token", "", "shared fleet token for -remote (default $"+AuthEnv+")")
 }
 
 // Coordinator builds the executor these options configure around local,
 // the runner whose Cache and Progress it shares and which runs every
-// batch when neither -remote nor -fleet is given. With -fleet it also
-// serves the registration listener (TLS per tlsOpts, log lines prefixed
-// with prog on stderr); call the returned close when the run ends.
-func (o *FleetOptions) Coordinator(prog string, tlsOpts *TLSOptions, local *harness.Runner, logger *slog.Logger) (*Coordinator, func() error, error) {
+// batch when -remote is not given. Its client dials the endpoints per
+// tlsOpts.
+func (o *FleetOptions) Coordinator(tlsOpts *TLSOptions, local *harness.Runner, logger *slog.Logger) (*Coordinator, error) {
 	c := &Coordinator{AuthToken: ResolveToken(o.AuthToken), Cache: local.Cache, Local: local,
 		Progress: local.Progress, Logger: logger}
-	noListener := func() error { return nil }
-	if o.Remote == "" && o.Listen == "" {
-		return c, noListener, nil
+	if o.Remote == "" {
+		return c, nil
 	}
 	client, err := tlsOpts.Client()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.Client = client
 	c.Endpoints = ApplyScheme(SplitEndpoints(o.Remote), tlsOpts.Scheme())
-	if o.Listen == "" {
-		return c, noListener, nil
-	}
-	tlsCfg, err := tlsOpts.ServerConfig()
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.AuthToken == "" && tlsCfg == nil && NonLoopbackBind(o.Listen) {
-		fmt.Fprintf(os.Stderr, "%s: warning: fleet listener %s is reachable beyond loopback with no -auth-token or TLS; any host can serve shards\n", prog, o.Listen)
-	}
-	c.Fleet = &Registry{AuthToken: c.AuthToken, Log: os.Stderr}
-	srv, bound, err := Serve(o.Listen, c.Fleet.Handler(), tlsCfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet listener: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "%s: fleet listening on %s (workers join with vbiworker -join)\n", prog, bound)
-	return c, srv.Close, nil
+	return c, nil
 }
 
 // baseURL normalizes a configured endpoint to a scheme-qualified base.
@@ -217,15 +175,14 @@ func baseURL(ep string) string {
 	return "http://" + ep
 }
 
-// Run implements harness.Executor. With no endpoints and no fleet it
-// delegates to the local runner; otherwise it validates, serves what it
-// can from Cache, seeds the registry with Endpoints (Registry.AddRemote),
-// and dispatches the remaining jobs as one batch across the (possibly
-// churning) membership. A stale endpoint, a shard refused by the fleet
-// maxShardAttempts times, a static-only fleet fully dead or a cancelled
+// Run implements harness.Executor. With no endpoints it delegates to the
+// local runner; otherwise it validates, serves what it can from Cache,
+// probes Endpoints (AddRemote) and dispatches the remaining jobs as one
+// batch across the live members. A stale endpoint, a shard refused by
+// the fleet maxShardAttempts times, every member dropped or a cancelled
 // context aborts the batch; already-completed shards remain in Cache.
 func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Result, error) {
-	if len(c.Endpoints) == 0 && c.Fleet == nil {
+	if len(c.Endpoints) == 0 {
 		r := c.Local
 		if r == nil {
 			r = &harness.Runner{Cache: c.Cache, Progress: c.Progress}
@@ -260,24 +217,19 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		return results, nil
 	}
 
-	reg := c.Fleet
-	if reg == nil {
-		// Without a fleet listener the -remote list is the whole fleet:
-		// nothing joins, and running dry is fatal. The registry narrates
-		// seeding on Progress; it writes nothing once the scheduler
-		// starts, because static members are never evicted.
-		reg = &Registry{Log: c.Progress}
-	}
-	skipped, err := reg.AddRemote(ctx, c.client(), c.AuthToken, c.Endpoints)
+	members, skipped, err := AddRemote(ctx, c.client(), c.AuthToken, c.Endpoints)
 	if err != nil {
 		return nil, err
 	}
-	if len(reg.Live()) == 0 && !reg.Dynamic() {
+	for _, s := range skipped {
+		c.logf("dist: skipping worker %s", s)
+	}
+	if len(members) == 0 {
 		return nil, fmt.Errorf("dist: no live workers among %s (skipped %s)",
 			strings.Join(c.Endpoints, ","), strings.Join(skipped, "; "))
 	}
 
-	s := newScheduler(c, reg, jobs, miss, func(idx int, jr JobResult) error {
+	s := newScheduler(c, jobs, miss, func(idx int, jr JobResult) error {
 		// Timing rides beside the results into the merged matrix; the
 		// cache stores only jr.Results, so cached bytes stay identical
 		// to a serial local run.
@@ -290,17 +242,17 @@ func (c *Coordinator) Run(ctx context.Context, jobs []harness.Job) ([]harness.Re
 		return nil
 	})
 	nshards := len(s.queue.tasks)
-	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(reg.Live()))
-	c.log().Info("batch start", "trace", s.trace, "jobs", len(miss), "shards", nshards, "workers", len(reg.Live()))
-	if err := s.dispatch(ctx); err != nil {
+	c.logf("dist: %d jobs in %d shards across %d workers", len(miss), nshards, len(members))
+	c.log().Info("batch start", "trace", s.trace, "jobs", len(miss), "shards", nshards, "workers", len(members))
+	if err := s.dispatch(ctx, members); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
 // Probe fetches one endpoint's handshake (PathHealthz), the client half
-// of the /healthz contract. Registry.AddRemote probes every -remote
-// endpoint through it.
+// of the /healthz contract. AddRemote probes every -remote endpoint
+// through it.
 func Probe(ctx context.Context, client *http.Client, base, token string) (Hello, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -360,7 +312,7 @@ func ExecuteShard(ctx context.Context, client *http.Client, m Member, token stri
 			eb.Error = resp.Status
 		}
 		if resp.StatusCode == http.StatusPreconditionFailed {
-			return RunResponse{}, fmt.Errorf("dist: worker %s: %s", m.ID, eb.Error), nil
+			return RunResponse{}, fmt.Errorf("dist: worker %s: %s", m.Base, eb.Error), nil
 		}
 		return RunResponse{}, nil, fmt.Errorf("run: %s: %s", resp.Status, eb.Error)
 	}

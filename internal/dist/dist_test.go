@@ -577,7 +577,7 @@ func TestTrailingDataRejected(t *testing.T) {
 		io.WriteString(rw, tail.Load().(string))
 	}))
 	t.Cleanup(srv.Close)
-	m := Member{ID: srv.URL, Base: srv.URL}
+	m := Member{Base: srv.URL}
 
 	for _, c := range []struct {
 		tail string

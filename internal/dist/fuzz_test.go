@@ -53,7 +53,7 @@ func FuzzRunResponse(f *testing.F) {
 		rw.Write(b)
 	}))
 	f.Cleanup(srv.Close)
-	m := Member{ID: srv.URL, Base: srv.URL}
+	m := Member{Base: srv.URL}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rr RunResponse

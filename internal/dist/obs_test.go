@@ -162,7 +162,7 @@ func TestWorkerMetricsDeterministic(t *testing.T) {
 	jobs := testJobs(t)
 	srv := newWorkerServer(t, 2)
 
-	m := Member{ID: srv.URL, Base: srv.URL, Weight: 2}
+	m := Member{Base: srv.URL, Weight: 2}
 	resp, fatal, retry := ExecuteShard(context.Background(), http.DefaultClient, m, "",
 		time.Minute, jobs, "t-test/1")
 	if fatal != nil || retry != nil {

@@ -13,16 +13,17 @@
 //     speed, retries and requeues cannot reorder anything.
 //   - Version handshake. Workers advertise the ProtocolVersion baked into
 //     their binary, and every /run request repeats the coordinator's. A
-//     mismatch when -remote seeds the registry (Registry.AddRemote)
-//     aborts the run, a stale join is refused, and a worker that refuses
-//     a /run (412) is dropped from the fleet, so a stale worker binary
-//     can never contribute results from a different timing model, job
-//     schema or wire format.
+//     mismatch when the -remote list is probed (AddRemote) aborts the
+//     run, and a worker that refuses a /run (412) is dropped from the
+//     fleet, so a stale worker binary can never contribute results from
+//     a different timing model, job schema or wire format.
 //
-// Failure handling is shard-granular: a failed or timed-out request
-// requeues its shard for the surviving endpoints, and completed shards
-// stream into the coordinator's on-disk cache as they arrive, so even an
-// aborted sweep resumes incrementally.
+// The fleet is the -remote list: every endpoint that passes the /healthz
+// handshake serves the run, and nothing joins while it runs. Failure
+// handling is shard-granular: a failed or timed-out request requeues its
+// shard for the surviving endpoints, and completed shards stream into
+// the coordinator's on-disk cache as they arrive, so even an aborted
+// sweep resumes incrementally, on whichever workers are up then.
 package dist
 
 import (
@@ -44,8 +45,8 @@ func VersionLine(tool string) string {
 }
 
 // ProtocolVersion names the dist wire format: the harness.Version (timing
-// model + job schema) plus a wire revision. Every handshake, run request
-// and registration carries it, and a mismatch on either side is fatal —
+// model + job schema) plus a wire revision. Every handshake and run
+// request carries it, and a mismatch on either side is fatal —
 // the same "never mix models" stance as before, now also covering wire
 // shape. wire2 made jobs self-describing (RunRequest jobs carry their
 // fully resolved system.Spec, so a worker executes exactly the
@@ -60,28 +61,19 @@ func VersionLine(tool string) string {
 // handshake instead.
 const ProtocolVersion = harness.Version + "+wire5"
 
-// URL paths of the fleet protocol. PathHealthz and PathRun are served by
-// workers; PathRegister and PathLeave are served by the coordinator's
-// fleet listener (vbisweep -fleet, vbibench -fleet). When a shared auth token
-// is configured, every route on a gated server requires it
-// (Authorization: Bearer <token>).
+// URL paths of the worker protocol. When a shared auth token is
+// configured, every route requires it (Authorization: Bearer <token>).
 const (
 	PathHealthz = "/healthz"
 	PathRun     = "/run"
 	// PathMetrics is the worker's Prometheus text exposition: jobs run,
 	// per-phase event counters, job-latency histogram, in-flight gauge.
-	PathMetrics  = "/metrics"
-	PathRegister = "/register"
-	// PathLeave is a draining worker's voluntary deregistration: the
-	// member is removed at once instead of lingering until TTL eviction,
-	// so the scheduler stops handing it shards immediately. Best-effort —
-	// a worker that dies without leaving is still TTL-evicted.
-	PathLeave = "/leave"
+	PathMetrics = "/metrics"
 )
 
-// Hello is the handshake response served on /healthz. Registry.AddRemote
-// refuses endpoints whose Version differs from its own ProtocolVersion
-// and uses Workers as the shard-planning weight.
+// Hello is the handshake response served on /healthz. AddRemote refuses
+// endpoints whose Version differs from its own ProtocolVersion and uses
+// Workers as the shard-planning weight.
 //
 //vbi:wire
 type Hello struct {
@@ -127,36 +119,6 @@ type JobResult struct {
 //vbi:wire
 type RunResponse struct {
 	Results []JobResult `json:"results"`
-}
-
-// RegisterRequest is a worker's join — and, repeated periodically, its
-// heartbeat. Version must equal the coordinator's ProtocolVersion (a
-// mismatch is refused with 412 so a stale binary fails at join time).
-//
-//vbi:wire
-type RegisterRequest struct {
-	Version string `json:"version"`
-	// Workers is the advertised pool width (the shard-planning weight).
-	Workers int `json:"workers"`
-	// Addr is the address the worker serves /run on, as "host:port" or a
-	// base URL. An empty or unspecified host is filled in from the
-	// registering connection's source address.
-	Addr string `json:"addr"`
-	// Instance identifies this worker process lifetime (any random string
-	// chosen at startup). A changed instance tells the coordinator the
-	// worker restarted, which readmits it even when its previous
-	// incarnation was dropped for failures.
-	Instance string `json:"instance,omitempty"`
-}
-
-// RegisterResponse answers a RegisterRequest.
-//
-//vbi:wire
-type RegisterResponse struct {
-	Version string `json:"version"` // coordinator's ProtocolVersion
-	// HeartbeatMillis is how often the coordinator expects the worker to
-	// re-register; missing heartbeats for 3× this evicts the worker.
-	HeartbeatMillis int64 `json:"heartbeat_millis"`
 }
 
 // errorBody is the JSON body of every non-200 worker response.

@@ -35,28 +35,29 @@ func TestShardQueueRequeueToFront(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAttemptCap runs a one-shot batch on a dynamic fleet
-// whose only member answers 500 to every /run. Each drop quarantines the
-// member and the quarantine lapses, so without a cap the run would retry
-// until its deadline; the shard attempt cap must end it with an error
-// naming the cap first.
-func TestCoordinatorAttemptCap(t *testing.T) {
-	worker := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+// failingWorker starts a worker that passes the /healthz handshake and
+// answers 500 to every /run.
+func failingWorker(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == PathHealthz {
+			writeJSON(rw, http.StatusOK, Hello{Service: "vbiworker", Version: ProtocolVersion, Workers: 1})
+			return
+		}
 		writeJSON(rw, http.StatusInternalServerError, errorBody{Error: "synthetic failure"})
 	}))
-	t.Cleanup(worker.Close)
+	t.Cleanup(srv.Close)
+	return srv.URL
+}
 
-	reg := &Registry{TTL: 300 * time.Millisecond}
-	regSrv := httptest.NewServer(reg.Handler())
-	t.Cleanup(regSrv.Close)
-
+// TestCoordinatorAttemptCap runs a batch on one worker that answers 500
+// to every /run, with a Retries budget that never drops it. Without a cap
+// its serve loop would retry the shard until the run's deadline; the
+// shard attempt cap must end the run with an error naming the cap.
+func TestCoordinatorAttemptCap(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	joinCtx, stopJoin := context.WithCancel(ctx)
-	defer stopJoin()
-	go (&Joiner{Coordinator: regSrv.URL, Advertise: worker.URL, Workers: 1}).Run(joinCtx)
-
-	coord := &Coordinator{Fleet: reg, PollInterval: 5 * time.Millisecond}
+	coord := &Coordinator{Endpoints: []string{failingWorker(t)}, Retries: 1 << 20}
 	_, err := coord.Run(ctx, testJobs(t)[:1])
 	if err == nil || !strings.Contains(err.Error(), "shard failed 8 times") {
 		t.Fatalf("err = %v, want the shard attempt cap", err)
@@ -64,23 +65,19 @@ func TestCoordinatorAttemptCap(t *testing.T) {
 }
 
 // TestCoordinatorAttemptCapAcrossWorkers bounces one shard between four
-// static workers that answer 500 to every /run, with a Retries budget
-// that never drops them. The shard's attempt count is shared by every
-// member's serve loop, so it must be counted before the shard goes back
-// on the queue (this test is the -race regression for counting after),
-// and the run must fail once the shard is refused eight times.
+// workers that answer 500 to every /run, with a Retries budget that never
+// drops them. The shard's attempt count is shared by every member's serve
+// loop, so it must be counted before the shard goes back on the queue
+// (this test is the -race regression for counting after), and the run
+// must fail once the shard is refused eight times.
 func TestCoordinatorAttemptCapAcrossWorkers(t *testing.T) {
-	reg := &Registry{}
+	var endpoints []string
 	for i := 0; i < 4; i++ {
-		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-			http.Error(rw, "synthetic failure", http.StatusInternalServerError)
-		}))
-		t.Cleanup(w.Close)
-		reg.Add(w.URL, 1, true, "")
+		endpoints = append(endpoints, failingWorker(t))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	coord := &Coordinator{Fleet: reg, ShardSize: 1, Retries: 1 << 20, PollInterval: 5 * time.Millisecond}
+	coord := &Coordinator{Endpoints: endpoints, ShardSize: 1, Retries: 1 << 20}
 	_, err := coord.Run(ctx, testJobs(t)[:1])
 	if err == nil || !strings.Contains(err.Error(), "shard failed 8 times") {
 		t.Fatalf("err = %v, want the shard attempt cap", err)

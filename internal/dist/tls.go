@@ -5,16 +5,14 @@ import (
 	"crypto/x509"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"strings"
-	"time"
 )
 
-// TLSOptions is the shared TLS/mTLS configuration of every dist
-// endpoint: the coordinator's fleet listener, the worker's shard server,
-// and their clients. One flag triple covers both roles:
+// TLSOptions is the shared TLS/mTLS configuration of both ends of the
+// dist protocol: the worker's shard server and the coordinator's client.
+// One flag triple covers both roles:
 //
 //   - -tls-cert/-tls-key: this process's own certificate. A server with a
 //     certificate serves HTTPS instead of HTTP; a client with one presents
@@ -157,30 +155,4 @@ func ApplyScheme(endpoints []string, scheme string) []string {
 		}
 	}
 	return out
-}
-
-// Serve starts an HTTP or HTTPS server (per tlsCfg) on addr and returns
-// it with its bound listener address. Every dist listener goes
-// through here so TLS cannot be wired on one plane and forgotten on
-// another.
-func Serve(addr string, handler http.Handler, tlsCfg *tls.Config) (*http.Server, string, error) {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		TLSConfig:         tlsCfg,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	go func() {
-		if tlsCfg != nil {
-			// Certificates come from TLSConfig; the file arguments are unused.
-			srv.ServeTLS(ln, "", "")
-		} else {
-			srv.Serve(ln)
-		}
-	}()
-	return srv, ln.Addr().String(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/pem"
@@ -113,7 +114,7 @@ func startTLSWorker(t *testing.T, ca *testCA, w *Worker, mutual bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr, err := Serve("127.0.0.1:0", w.Handler(), cfg)
+	srv, addr, err := serve("127.0.0.1:0", w.Handler(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +212,11 @@ func TestTLSOptionsValidation(t *testing.T) {
 }
 
 // TestWorkerDrain asserts the graceful-drain contract: a draining worker
-// advertises it on /healthz, refuses new shards with 503, and its /leave
-// removes it from the registry immediately (no TTL wait).
+// advertises it on /healthz, refuses new shards with 503, and probing a
+// -remote list skips it.
 func TestWorkerDrain(t *testing.T) {
 	w := &Worker{Runner: &harness.Runner{Workers: 1}}
-	srv, addr, err := Serve("127.0.0.1:0", w.Handler(), nil)
+	srv, addr, err := serve("127.0.0.1:0", w.Handler(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Error("draining worker's handshake does not advertise Draining")
 	}
 	_, fatal, retry := ExecuteShard(context.Background(), http.DefaultClient,
-		Member{ID: base, Base: base}, "", time.Minute, testJobs(t)[:1], "")
+		Member{Base: base}, "", time.Minute, testJobs(t)[:1], "")
 	if fatal != nil {
 		t.Fatalf("draining refusal was fatal: %v", fatal)
 	}
@@ -239,38 +240,37 @@ func TestWorkerDrain(t *testing.T) {
 		t.Errorf("draining /run = %v, want retryable draining error", retry)
 	}
 
-	// Seeding -remote must skip the draining worker instead of
+	// Probing the -remote list must skip the draining worker instead of
 	// scheduling onto it.
-	seeded := &Registry{}
-	if _, err := seeded.AddRemote(context.Background(), http.DefaultClient, "", []string{base}); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(seeded.Live()); n != 0 {
-		t.Errorf("AddRemote registered %d workers, want 0 (draining)", n)
-	}
-
-	// Voluntary leave: joined, then left, with no quarantine on rejoin.
-	reg := &Registry{}
-	regSrv, regAddr, err := Serve("127.0.0.1:0", reg.Handler(), nil)
+	live, _, err := AddRemote(context.Background(), http.DefaultClient, "", []string{base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { regSrv.Close() })
-	j := &Joiner{Coordinator: regAddr, Advertise: addr, Workers: 1}
-	if _, err := j.registerOnce(context.Background()); err != nil {
-		t.Fatal(err)
+	if len(live) != 0 {
+		t.Errorf("AddRemote returned %d members, want 0 (draining)", len(live))
 	}
-	if len(reg.Live()) != 1 {
-		t.Fatalf("registry has %d members after join, want 1", len(reg.Live()))
+}
+
+// serve starts an HTTP or HTTPS server (per tlsCfg) on addr and returns
+// it with its bound listener address, as cmd/vbiworker serves a Worker.
+func serve(addr string, handler http.Handler, tlsCfg *tls.Config) (*http.Server, string, error) {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		TLSConfig:         tlsCfg,
+		ReadHeaderTimeout: 10 * time.Second,
 	}
-	j.Leave(context.Background())
-	if n := len(reg.Live()); n != 0 {
-		t.Errorf("registry has %d members after leave, want 0", n)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
 	}
-	if _, err := j.registerOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(reg.Live()) != 1 {
-		t.Error("worker could not rejoin after a voluntary leave")
-	}
+	go func() {
+		if tlsCfg != nil {
+			// Certificates come from TLSConfig; the file arguments are unused.
+			srv.ServeTLS(ln, "", "")
+		} else {
+			srv.Serve(ln)
+		}
+	}()
+	return srv, ln.Addr().String(), nil
 }

@@ -46,16 +46,15 @@ type Worker struct {
 // new shards with 503 (the coordinator requeues them elsewhere) while
 // requests already executing run to completion, and /healthz advertises
 // Draining so a handshaking coordinator skips the worker entirely.
-// cmd/vbiworker sets it on the first SIGTERM, then deregisters and waits
-// for in-flight shards before exiting.
+// cmd/vbiworker sets it on the first SIGTERM, then waits for in-flight
+// shards before exiting.
 func (w *Worker) SetDraining(v bool) { w.draining.Store(v) }
 
 // Draining reports whether the worker is refusing new shards.
 func (w *Worker) Draining() bool { return w.draining.Load() }
 
-// PoolWidth is the worker count advertised in the handshake (and in
-// -join registrations): the runner's, defaulted the same way the runner
-// itself defaults it.
+// PoolWidth is the worker count advertised in the handshake: the
+// runner's, defaulted the same way the runner itself defaults it.
 func (w *Worker) PoolWidth() int {
 	n := 0
 	if w.Runner != nil {
