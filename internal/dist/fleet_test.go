@@ -11,9 +11,9 @@ import (
 )
 
 // TestAddRemote pins the one -remote probe every front-end shares: a
-// live endpoint is a member at its advertised width, two spellings of one
-// endpoint are one member, draining and unreachable endpoints are skipped
-// with their reason, and a stale endpoint fails the whole list.
+// live endpoint is a member at its advertised width, draining and
+// unreachable endpoints are skipped with their reason, and a stale
+// endpoint fails the whole list.
 func TestAddRemote(t *testing.T) {
 	probe := func(t *testing.T, endpoints ...string) ([]Member, []string, error) {
 		t.Helper()
@@ -28,17 +28,6 @@ func TestAddRemote(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != (Member{Base: live.URL, Weight: 3}) || len(skipped) != 0 {
 			t.Errorf("live worker probed as %+v (skipped %q), want one member %s of weight 3", got, skipped, live.URL)
-		}
-	})
-
-	t.Run("duplicate", func(t *testing.T) {
-		live := newWorkerServer(t, 2)
-		got, _, err := probe(t, strings.TrimPrefix(live.URL, "http://"), live.URL, live.URL+"/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0] != (Member{Base: live.URL, Weight: 2}) {
-			t.Errorf("three spellings of one worker probed as %+v, want one member %s", got, live.URL)
 		}
 	})
 
