@@ -149,20 +149,21 @@ func TestDuplicateEndpointOneMember(t *testing.T) {
 	want := localResults(t, jobs)
 
 	inner := (&Worker{Runner: &harness.Runner{Workers: 1}}).Handler()
-	var inFlight atomic.Int64
+	var runs, inFlight atomic.Int64
 	var overlapped atomic.Bool
 	second := make(chan struct{}, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.URL.Path == PathRun {
-			n := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			if n > 1 {
+			first := runs.Add(1) == 1
+			if inFlight.Add(1) > 1 {
 				overlapped.Store(true)
 				select {
 				case second <- struct{}{}:
 				default:
 				}
-			} else {
+			}
+			defer inFlight.Add(-1)
+			if first {
 				// Hold the first request long enough for a second serve
 				// loop, if there were one, to send its own.
 				select {
